@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import click
@@ -88,6 +88,8 @@ def _mapped_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except ValueError as err:
+            raise click.UsageError(str(err))
         except FormatError as err:
             _die(str(err), EXIT_USAGE)
         except CapacityError as err:
@@ -132,6 +134,80 @@ def _sub_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
+def _option_group(*options):
+    """One decorator applying the given click options in the listed order."""
+
+    def decorate(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+
+    return decorate
+
+
+_synth_options = _option_group(
+    click.option("--n", type=int, required=True, help="Number of items."),
+    click.option("--l", "l", type=int, required=True, help="Number of stages."),
+    click.option("--lambda", "spread", type=float, required=True, help="True spread."),
+    click.option("--center", type=str, default=None,
+                 help="True center: comma list of stages or a ranking file."),
+    click.option("--center-random", is_flag=True,
+                 help="Draw the true center uniformly from the space."),
+    click.option("--M", "size", type=int, required=True, help="Number of respondents."),
+    click.option("--missing-pct", type=float, default=0.0, show_default=True,
+                 help="Percent of respondents to right-censor."),
+    click.option("--censor-location-factor", type=float, default=0.75, show_default=True),
+    click.option("--censor-scale", type=float, default=1.0, show_default=True),
+)
+
+
+def _synth_config(rng, n, l, spread, center, center_random, size, missing_pct,
+                  censor_location_factor, censor_scale) -> SynthConfig:
+    """Settings of --n ... --censor-scale; a random true center comes from rng."""
+    if (center is None) == (not center_random):
+        raise click.UsageError("provide exactly one of --center / --center-random")
+    domain = StageDomain(l)
+    truth_center = (
+        _uniform_center(rng, n, l) if center_random else _parse_center(center, n, l)
+    )
+    return SynthConfig(
+        truth=MallowsParams(truth_center, spread, domain),
+        size=size,
+        missing_percent=missing_pct,
+        censor_location_factor=censor_location_factor,
+        censor_scale=censor_scale,
+    )
+
+
+_chain_options = _option_group(
+    click.option("--iterations", type=int, default=1500, show_default=True),
+    click.option("--burn-in", type=int, default=500, show_default=True),
+    click.option("--thinning", type=int, default=1, show_default=True),
+    click.option("--proposal-scale", type=float, default=0.1, show_default=True),
+    click.option("--prior-spread", type=float, default=None,
+                 help="Fix the center prior's spread (default: couple to lambda)."),
+    click.option("--normalization", type=click.Choice([RESTRICTED, GLOBAL]),
+                 default=RESTRICTED, show_default=True),
+)
+
+
+def _chain_config(iterations, burn_in, thinning, proposal_scale, prior_spread,
+                  normalization, prior_center, lambda_init, seed, start
+                  ) -> tuple[McmcConfig, PriorConfig]:
+    """The chain and prior settings of --iterations ... --normalization."""
+    mcmc = McmcConfig(
+        iterations=iterations,
+        burn_in=burn_in,
+        thinning=thinning,
+        lambda_init=lambda_init,
+        lambda_proposal_scale=proposal_scale,
+        seed=seed,
+        normalization=normalization,
+        start_center=start,
+    )
+    return mcmc, PriorConfig(center=prior_center, pi_spread=prior_spread)
+
+
 @click.group()
 @click.version_option(version=__version__)
 def cli():
@@ -142,18 +218,7 @@ def cli():
 
 
 @cli.command("simulate")
-@click.option("--n", type=int, required=True, help="Number of items.")
-@click.option("--l", "l", type=int, required=True, help="Number of stages.")
-@click.option("--lambda", "spread", type=float, required=True, help="True spread.")
-@click.option("--center", type=str, default=None,
-              help="True center: comma list of stages or a ranking file.")
-@click.option("--center-random", is_flag=True,
-              help="Draw the true center uniformly from the space.")
-@click.option("--M", "size", type=int, required=True, help="Number of respondents.")
-@click.option("--missing-pct", type=float, default=0.0, show_default=True,
-              help="Percent of respondents to right-censor.")
-@click.option("--censor-location-factor", type=float, default=0.75, show_default=True)
-@click.option("--censor-scale", type=float, default=1.0, show_default=True)
+@_synth_options
 @click.option("--p", type=float, default=0.5, show_default=True,
               help="Tie penalty for the distance.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -163,32 +228,12 @@ def cli():
 def cmd_simulate(n, l, spread, center, center_random, size, missing_pct,
                  censor_location_factor, censor_scale, p, seed, out):
     """Draw a synthetic censored dataset from a known model."""
-    if (center is None) == (not center_random):
-        raise click.UsageError("provide exactly one of --center / --center-random")
-    try:
-        cfg = DistanceConfig(p=p)
-        domain = StageDomain(l)
-    except ValueError as err:
-        raise click.UsageError(str(err))
-
+    cfg = DistanceConfig(p=p)
     rng = np.random.default_rng(seed)
-    truth_center = (
-        _uniform_center(rng, n, l) if center_random else _parse_center(center, n, l)
-    )
+    synth_cfg = _synth_config(rng, n, l, spread, center, center_random, size,
+                              missing_pct, censor_location_factor, censor_scale)
     synth_seed = _sub_seed(rng)
-    try:
-        synth_cfg = SynthConfig(
-            truth=MallowsParams(truth_center, spread, domain),
-            size=size,
-            missing_percent=missing_pct,
-            censor_location_factor=censor_location_factor,
-            censor_scale=censor_scale,
-            seed=synth_seed,
-        )
-    except ValueError as err:
-        raise click.UsageError(str(err))
-
-    data, truth = generate(synth_cfg, cfg)
+    data, truth = generate(replace(synth_cfg, seed=synth_seed), cfg)
     width = len(str(size))
     responses = [(f"S{k + 1:0{width}d}", r) for k, r in enumerate(data)]
     censored_ids = [rid for rid, r in responses if not r.is_complete]
@@ -198,7 +243,7 @@ def cmd_simulate(n, l, spread, center, center_random, size, missing_pct,
         seed=seed,
         config={
             "n": n, "l": l, "lambda": spread,
-            "center": list(truth_center.stages),
+            "center": list(truth.center.stages),
             "center_random": center_random,
             "M": size, "missing_pct": missing_pct,
             "censor_location_factor": censor_location_factor,
@@ -295,18 +340,11 @@ def _evaluation_block(
               help="Dataset CSV (sidecar found alongside).")
 @click.option("--prior-center", type=str, required=True,
               help='Ranking file, or "uniform-random".')
-@click.option("--iterations", type=int, default=1500, show_default=True)
-@click.option("--burn-in", type=int, default=500, show_default=True)
-@click.option("--thinning", type=int, default=1, show_default=True)
+@_chain_options
 @click.option("--lambda-init", type=float, default=1.0, show_default=True)
-@click.option("--proposal-scale", type=float, default=0.1, show_default=True)
-@click.option("--prior-spread", type=float, default=None,
-              help="Fix the center prior's spread (default: couple to lambda).")
 @click.option("--init-center", type=click.Choice(["prior", "random"]),
               default="prior", show_default=True,
               help="Start the chain at the prior center or a uniform draw.")
-@click.option("--normalization", type=click.Choice([RESTRICTED, GLOBAL]),
-              default=RESTRICTED, show_default=True)
 @click.option("--min-response-rate", type=float, default=0.0, show_default=True,
               help="Drop items ranked by fewer than this fraction of respondents.")
 @click.option("--p", type=float, default=0.5, show_default=True)
@@ -317,11 +355,7 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
             proposal_scale, prior_spread, init_center, normalization,
             min_response_rate, p, seed, out_dir):
     """Fit the model to a dataset and write report, trace, and heatmap."""
-    try:
-        cfg = DistanceConfig(p=p)
-    except ValueError as err:
-        raise click.UsageError(str(err))
-
+    cfg = DistanceConfig(p=p)
     ds = read_dataset(data)
     if min_response_rate > 0.0:
         ds = filter_items(ds, min_response_rate)
@@ -334,22 +368,9 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
         else None
     )
     chain_seed = _sub_seed(rng)
-
-    try:
-        mcmc = McmcConfig(
-            iterations=iterations,
-            burn_in=burn_in,
-            thinning=thinning,
-            lambda_init=lambda_init,
-            lambda_proposal_scale=proposal_scale,
-            seed=chain_seed,
-            normalization=normalization,
-            start_center=start,
-        )
-        prior = PriorConfig(center=prior_center_ranking, pi_spread=prior_spread)
-    except ValueError as err:
-        raise click.UsageError(str(err))
-
+    mcmc, prior = _chain_config(iterations, burn_in, thinning, proposal_scale,
+                                prior_spread, normalization, prior_center_ranking,
+                                lambda_init, chain_seed, start)
     result = mcmc_fit(ds.rankings(), ds.stage_domain, prior, mcmc, cfg)
 
     manifest = RunManifest(
@@ -406,22 +427,8 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
 
 @cli.command("eval")
 @click.option("--repeats", type=int, default=12, show_default=True)
-@click.option("--n", type=int, required=True)
-@click.option("--l", "l", type=int, required=True)
-@click.option("--lambda", "spread", type=float, required=True)
-@click.option("--center", type=str, default=None)
-@click.option("--center-random", is_flag=True)
-@click.option("--M", "size", type=int, required=True)
-@click.option("--missing-pct", type=float, default=0.0, show_default=True)
-@click.option("--censor-location-factor", type=float, default=0.75, show_default=True)
-@click.option("--censor-scale", type=float, default=1.0, show_default=True)
-@click.option("--iterations", type=int, default=1500, show_default=True)
-@click.option("--burn-in", type=int, default=500, show_default=True)
-@click.option("--thinning", type=int, default=1, show_default=True)
-@click.option("--proposal-scale", type=float, default=0.1, show_default=True)
-@click.option("--prior-spread", type=float, default=None)
-@click.option("--normalization", type=click.Choice([RESTRICTED, GLOBAL]),
-              default=RESTRICTED, show_default=True)
+@_synth_options
+@_chain_options
 @click.option("--prior-center", type=click.Choice(["truth", "uniform-random"]),
               default="truth", show_default=True,
               help="Center the prior on the generating truth or a uniform draw.")
@@ -440,19 +447,11 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
     """
     if repeats < 1:
         raise click.UsageError("--repeats must be >= 1")
-    if (center is None) == (not center_random):
-        raise click.UsageError("provide exactly one of --center / --center-random")
-    try:
-        cfg = DistanceConfig(p=p)
-        domain = StageDomain(l)
-    except ValueError as err:
-        raise click.UsageError(str(err))
-
+    cfg = DistanceConfig(p=p)
     rng = np.random.default_rng(seed)
-    truth_center = (
-        _uniform_center(rng, n, l) if center_random else _parse_center(center, n, l)
-    )
-    truth = MallowsParams(truth_center, spread, domain)
+    synth_cfg = _synth_config(rng, n, l, spread, center, center_random, size,
+                              missing_pct, censor_location_factor, censor_scale)
+    truth_center = synth_cfg.truth.center
 
     rows = []
     for k in range(repeats):
@@ -461,35 +460,14 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
         lambda_init = float(rng.uniform(0.5, 2.0))
         start = _uniform_center(rng, n, l)
 
-        data, _ = generate(
-            SynthConfig(
-                truth=truth,
-                size=size,
-                missing_percent=missing_pct,
-                censor_location_factor=censor_location_factor,
-                censor_scale=censor_scale,
-                seed=synth_seed,
-            ),
-            cfg,
-        )
+        data, _ = generate(replace(synth_cfg, seed=synth_seed), cfg)
         prior_ranking = (
             truth_center if prior_center == "truth" else _uniform_center(rng, n, l)
         )
-        try:
-            mcmc = McmcConfig(
-                iterations=iterations,
-                burn_in=burn_in,
-                thinning=thinning,
-                lambda_init=lambda_init,
-                lambda_proposal_scale=proposal_scale,
-                seed=chain_seed,
-                normalization=normalization,
-                start_center=start,
-            )
-        except ValueError as err:
-            raise click.UsageError(str(err))
-        prior = PriorConfig(center=prior_ranking, pi_spread=prior_spread)
-        result = mcmc_fit(data, domain, prior, mcmc, cfg)
+        mcmc, prior = _chain_config(iterations, burn_in, thinning, proposal_scale,
+                                    prior_spread, normalization, prior_ranking,
+                                    lambda_init, chain_seed, start)
+        result = mcmc_fit(data, synth_cfg.truth.domain, prior, mcmc, cfg)
 
         rows.append(
             {
@@ -543,10 +521,7 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
 @_mapped_errors
 def cmd_distance(file_a, file_b, p):
     """Print the penalized Kendall tau distance between two ranking files."""
-    try:
-        cfg = DistanceConfig(p=p)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    cfg = DistanceConfig(p=p)
     stages_a, _ = read_ranking_file(file_a)
     stages_b, _ = read_ranking_file(file_b)
     if len(stages_a) != len(stages_b):

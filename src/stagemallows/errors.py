@@ -6,16 +6,17 @@ class StageMallowsError(Exception):
 
 
 class CapacityError(StageMallowsError):
-    """The requested ranking space exceeds the enumeration guard."""
+    """The requested ranking space exceeds the enumeration guard or byte budget."""
 
-    def __init__(self, n: int, l: int, guard: int):
+    def __init__(self, n: int, l: int, guard: int, reason: str | None = None):
         self.n = n
         self.l = l
         self.guard = guard
         self.space_size = l**n
+        reason = reason or f"exceeds the enumeration guard of {guard}"
         super().__init__(
             f"ranking space has l^n = {l}^{n} = {self.space_size} points, "
-            f"which exceeds the enumeration guard of {guard}"
+            f"which {reason}"
         )
 
 

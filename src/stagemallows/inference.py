@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,14 +32,20 @@ from .mallows import (
     DEFAULT_ENUMERATION_GUARD,
     MallowsParams,
     PartitionCache,
-    _distance_vector,
-    _pair_indices,
-    _sample_indices,
-    _space_array,
+    check_guard,
     default_cache,
     structural_class,
 )
-from .rankings import CentralRanking, DistanceConfig, PartialRanking, StageDomain
+from .rankings import (
+    CentralRanking,
+    DistanceConfig,
+    PartialRanking,
+    StageDomain,
+    kendall_tau_partial,
+    pair_counts,
+    pair_indices,
+    ranking_pair_signs,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -89,6 +95,23 @@ class PriorConfig:
         if self.pi_spread is not None and not (self.pi_spread > 0):
             raise ValueError(f"pi_spread must be positive when fixed, got {self.pi_spread}")
 
+    @cached_property
+    def center_class(self) -> tuple[int, ...]:
+        """Structural class of the prior center, which keys its log psi."""
+        return structural_class(self.center)
+
+    def log_density(
+        self, prior_d: float, spread: float, l: int, p: float, cache: PartitionCache, guard: int
+    ) -> float:
+        """log p(center | spread) + log p(spread), for a center at d_p = prior_d."""
+        if spread <= 0:
+            return -math.inf
+        pi_spread = self.pi_spread if self.pi_spread is not None else spread
+        pi_term = -prior_d / pi_spread - cache.log_psi(
+            self.center.n, l, self.center_class, p, pi_spread, guard
+        )
+        return log_truncated_normal(spread, self.lambda_scale) + pi_term
+
 
 @dataclass(frozen=True)
 class McmcConfig:
@@ -112,10 +135,12 @@ class McmcConfig:
             )
         if (self.iterations - self.burn_in) % self.thinning != 0:
             raise ValueError("iterations - burn_in must be a multiple of thinning")
-        if not (self.lambda_init > 0):
-            raise ValueError(f"lambda_init must be positive, got {self.lambda_init}")
-        if self.lambda_proposal_scale < 0:
-            raise ValueError("lambda_proposal_scale must be >= 0")
+        if not 0 < self.lambda_init < math.inf:
+            raise ValueError(f"lambda_init must be finite and positive, got {self.lambda_init}")
+        if not 0 <= self.lambda_proposal_scale < math.inf:
+            raise ValueError(
+                f"lambda_proposal_scale must be finite and >= 0, got {self.lambda_proposal_scale}"
+            )
         if self.normalization not in (RESTRICTED, GLOBAL):
             raise ValueError(f"unknown normalization {self.normalization!r}")
 
@@ -183,6 +208,7 @@ class _Evaluator:
         if len(data) == 0:
             raise ValueError("dataset is empty")
         n = data[0].n
+        check_guard(n, domain.l, guard)
         for k, resp in enumerate(data):
             if resp.n != n:
                 raise ValueError(f"respondent {k} has {resp.n} items, expected {n}")
@@ -201,19 +227,16 @@ class _Evaluator:
         self.normalization = normalization
         self.guard = guard
         self.prior = prior
-        self.prior_center = np.asarray(prior.center.stages, dtype=np.int32)
-        self.prior_class = structural_class(prior.center)
 
         stages = np.array(
             [[v if v is not None else 0 for v in resp.stages] for resp in data],
             dtype=np.int32,
         )
         mask = stages > 0
-        self._pair_i, self._pair_j = _pair_indices(n)
-        self._data_signs = np.sign(
-            stages[:, self._pair_i] - stages[:, self._pair_j]
-        ).astype(np.int8)
-        self._pair_valid = mask[:, self._pair_i] & mask[:, self._pair_j]
+        i, j = pair_indices(n)
+        self._data_signs = ranking_pair_signs(stages)
+        self._pair_valid = mask[:, i] & mask[:, j]
+        self._prior_signs = ranking_pair_signs(np.asarray(prior.center.stages))
 
         # Respondents sharing an observed-item set share their restricted
         # partition class, so group them once.
@@ -226,7 +249,6 @@ class _Evaluator:
         ]
 
         self._center_stats: dict[tuple[int, ...], tuple] = {}
-        self._space_dist: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
 
     # -- per-center statistics -------------------------------------------
 
@@ -235,15 +257,9 @@ class _Evaluator:
         if hit is not None:
             return hit
         arr = np.asarray(center, dtype=np.int32)
-        csigns = np.sign(arr[self._pair_i] - arr[self._pair_j]).astype(np.int8)
-        if csigns.size:
-            discordant = self._pair_valid & ((self._data_signs * csigns) == -1)
-            tied_one = self._pair_valid & ((self._data_signs == 0) ^ (csigns == 0))
-            total_d = float(
-                discordant.sum(dtype=np.int64) + self.cfg.p * tied_one.sum(dtype=np.int64)
-            )
-        else:
-            total_d = 0.0
+        signs = ranking_pair_signs(arr)
+        discordant, tied_one = pair_counts(self._data_signs, signs, self._pair_valid)
+        total_d = float(discordant.sum() + self.cfg.p * tied_one.sum())
 
         psi_groups: dict[tuple[int, tuple[int, ...]], int] = {}
         for indices, count in self._observed_groups:
@@ -251,21 +267,11 @@ class _Evaluator:
             key = (len(indices), sub_class)
             psi_groups[key] = psi_groups.get(key, 0) + count
 
-        prior_d = _pair_distance(arr, self.prior_center, self.cfg.p)
+        discordant, tied_one = pair_counts(signs, self._prior_signs)
+        prior_d = int(discordant) + self.cfg.p * int(tied_one)
         stats = (total_d, tuple(psi_groups.items()), prior_d, structural_class(center))
         self._center_stats[center] = stats
         return stats
-
-    def space_distances(self, center: tuple[int, ...]) -> np.ndarray:
-        hit = self._space_dist.get(center)
-        if hit is not None:
-            self._space_dist.move_to_end(center)
-            return hit
-        dist = _distance_vector(center, self.l, self.cfg.p, self.guard)
-        self._space_dist[center] = dist
-        if len(self._space_dist) > 16:
-            self._space_dist.popitem(last=False)
-        return dist
 
     # -- posterior pieces --------------------------------------------------
 
@@ -278,40 +284,22 @@ class _Evaluator:
                     r, self.l, sub_class, self.cfg.p, spread, self.guard
                 )
         else:
-            value -= self.m * self.cache.log_psi(
-                self.n, self.l, center_class, self.cfg.p, spread, self.guard
-            )
+            value -= self.m * self.log_psi(center_class, spread)
         return value
 
     def log_prior(self, stats: tuple, spread: float) -> float:
-        if spread <= 0:
-            return -math.inf
-        _, _, prior_d, _ = stats
-        pi_spread = self.prior.pi_spread if self.prior.pi_spread is not None else spread
-        pi_term = -prior_d / pi_spread - self.cache.log_psi(
-            self.n, self.l, self.prior_class, self.cfg.p, pi_spread, self.guard
+        return self.prior.log_density(
+            stats[2], spread, self.l, self.cfg.p, self.cache, self.guard
         )
-        return log_truncated_normal(spread, self.prior.lambda_scale) + pi_term
 
     def log_posterior(self, stats: tuple, spread: float) -> float:
         return self.log_likelihood(stats, spread) + self.log_prior(stats, spread)
 
-    def proposal_log_psi(self, center_class: tuple[int, ...], spread: float) -> float:
+    def log_psi(self, center_class: tuple[int, ...], spread: float) -> float:
+        """log psi of the full space, for a center of the given class."""
         return self.cache.log_psi(
             self.n, self.l, center_class, self.cfg.p, spread, self.guard
         )
-
-
-def _pair_distance(a: np.ndarray, b: np.ndarray, p: float) -> float:
-    n = a.shape[0]
-    i, j = _pair_indices(n)
-    if i.size == 0:
-        return 0.0
-    sa = np.sign(a[i] - a[j])
-    sb = np.sign(b[i] - b[j])
-    discordant = int(np.count_nonzero((sa * sb) == -1))
-    tied_one = int(np.count_nonzero((sa == 0) ^ (sb == 0)))
-    return discordant + p * tied_one
 
 
 def log_likelihood(
@@ -349,19 +337,8 @@ def log_prior(
         raise ValueError(
             f"prior center has {prior.center.n} items, model has {params.n}"
         )
-    spread = params.spread
-    if spread <= 0:
-        return -math.inf
-    pi_spread = prior.pi_spread if prior.pi_spread is not None else spread
-    prior_d = _pair_distance(
-        np.asarray(params.center.stages, dtype=np.int32),
-        np.asarray(prior.center.stages, dtype=np.int32),
-        cfg.p,
-    )
-    pi_term = -prior_d / pi_spread - cache.log_psi(
-        params.n, params.l, structural_class(prior.center), cfg.p, pi_spread, guard
-    )
-    return log_truncated_normal(spread, prior.lambda_scale) + pi_term
+    prior_d = kendall_tau_partial(params.center, prior.center, cfg)
+    return prior.log_density(prior_d, params.spread, params.l, cfg.p, cache, guard)
 
 
 def log_posterior(
@@ -410,14 +387,13 @@ def mcmc_fit(
     cache = cache if cache is not None else default_cache()
     ev = _Evaluator(data, domain, prior, cfg, cache, mcmc.normalization, guard)
     rng = np.random.default_rng(mcmc.seed)
-    space = _space_array(ev.n, ev.l)
 
     start = mcmc.start_center if mcmc.start_center is not None else prior.center
     if start.n != ev.n:
         raise ValueError(f"start center has {start.n} items, data has {ev.n}")
     start.check_domain(domain)
 
-    center = tuple(start.stages)
+    center = start.stages
     spread = mcmc.lambda_init
     stats = ev.center_stats(center)
     ll = ev.log_likelihood(stats, spread)
@@ -445,14 +421,11 @@ def mcmc_fit(
 
     for t in range(1, mcmc.iterations + 1):
         # Center move: draw from Mallows(center, spread), exact.
-        dist = ev.space_distances(center)
-        idx = int(_sample_indices(dist, spread, rng, 1)[0])
-        proposed = tuple(int(v) for v in space[idx])
+        (proposed,) = cache.draw(center, ev.l, cfg.p, spread, rng, 1, guard)
         stats_new = ev.center_stats(proposed)
         log_post_new = ev.log_posterior(stats_new, spread)
         log_alpha = (log_post_new - log_post) + (
-            ev.proposal_log_psi(stats[3], spread)
-            - ev.proposal_log_psi(stats_new[3], spread)
+            ev.log_psi(stats[3], spread) - ev.log_psi(stats_new[3], spread)
         )
         u = rng.random()
         if log_alpha >= 0.0 or u < math.exp(log_alpha):

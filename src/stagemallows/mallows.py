@@ -23,10 +23,22 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .rankings import CentralRanking, DistanceConfig, StageDomain, kendall_tau_partial
+from .rankings import (
+    CentralRanking,
+    DistanceConfig,
+    StageDomain,
+    kendall_tau_partial,
+    pair_counts,
+    pair_indices,
+    pair_signs,
+    ranking_pair_signs,
+)
 
 #: Largest l^n the enumeration paths will touch before failing loudly.
 DEFAULT_ENUMERATION_GUARD = 2**24
+
+#: Largest number of bytes enumerating a space may take (see check_guard).
+ENUMERATION_BYTE_BUDGET = 2**31
 
 
 @dataclass(frozen=True)
@@ -56,10 +68,24 @@ class MallowsParams:
 
 
 def check_guard(n: int, l: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> int:
-    """Return l**n, or raise CapacityError when it exceeds the guard."""
+    """Return l**n, or raise CapacityError past the guard or the byte budget.
+
+    The peak bytes of enumerating are estimated from above: per point and
+    item pair, the int8 sign table and three table-sized temporaries of a
+    distance scan; per point, 48 bytes of count, distance and CDF vectors
+    (more than building the table adds); per pair, the n-by-n mask and
+    the two int64 arrays that list the pairs.
+    """
     size = l**n
     if size > guard:
         raise CapacityError(n, l, guard)
+    pairs = n * (n - 1) // 2
+    needed = size * (4 * pairs + 48) + 20 * pairs
+    if needed > ENUMERATION_BYTE_BUDGET:
+        raise CapacityError(n, l, guard, (
+            f"needs about {needed} bytes to enumerate, "
+            f"over the budget of {ENUMERATION_BYTE_BUDGET}"
+        ))
     return size
 
 
@@ -90,39 +116,30 @@ def enumerate_space(
         yield CentralRanking(stages)
 
 
-@lru_cache(maxsize=32)
-def _space_array(n: int, l: int) -> np.ndarray:
-    """All of {1..l}^n as a read-only (l**n, n) array, lexicographic."""
-    size = l**n
-    dtype = np.min_scalar_type(l)
-    arr = np.empty((size, n), dtype=dtype)
-    idx = np.arange(size)
-    for pos in range(n):
-        arr[:, pos] = (idx // l ** (n - 1 - pos)) % l + 1
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=32)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    i, j = np.triu_indices(n, k=1)
-    return i.astype(np.int64), j.astype(np.int64)
+def _decode(index: np.ndarray, n: int, l: int) -> np.ndarray:
+    """The points of {1..l}^n at the given lexicographic indices, one per column."""
+    powers = l ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    stages = index // powers[:, np.newaxis]
+    stages %= l
+    stages += 1
+    return stages
 
 
 @lru_cache(maxsize=32)
 def _space_signs(n: int, l: int) -> np.ndarray:
-    """sign(space[:, i] - space[:, j]) for each item pair, int8 (l**n, P)."""
-    space = _space_array(n, l).astype(np.int32)
-    i, j = _pair_indices(n)
-    signs = np.sign(space[:, i] - space[:, j]).astype(np.int8)
-    signs.setflags(write=False)
-    return signs
+    """Pair signs of every point of {1..l}^n: int8 (l**n, n(n-1)/2), lexicographic.
 
-
-def _center_signs(center: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(center, dtype=np.int32)
-    i, j = _pair_indices(arr.shape[0])
-    return np.sign(arr[i] - arr[j]).astype(np.int8)
+    Filled one pair column at a time, so no table-sized temporary is
+    made. Column-major, so that each column is contiguous and a distance
+    scan reduces across whole columns.
+    """
+    stages = _decode(np.arange(l**n), n, l)
+    i, j = pair_indices(n)
+    table = np.empty((l**n, len(i)), dtype=np.int8, order="F")
+    for k in range(len(i)):
+        table[:, k] = pair_signs(stages[i[k]], stages[j[k]])
+    table.setflags(write=False)
+    return table
 
 
 def _distance_components(
@@ -131,25 +148,7 @@ def _distance_components(
     """Per-space-point discordant and tied-in-one pair counts vs center."""
     n = len(center)
     check_guard(n, l, guard)
-    space_signs = _space_signs(n, l)
-    csigns = _center_signs(center)
-    if csigns.size == 0:
-        size = l**n
-        zero = np.zeros(size, dtype=np.int64)
-        return zero, zero.copy()
-    discordant = (space_signs * csigns[np.newaxis, :]) == -1
-    tied_one = (space_signs == 0) ^ (csigns == 0)[np.newaxis, :]
-    return (
-        discordant.sum(axis=1, dtype=np.int64),
-        tied_one.sum(axis=1, dtype=np.int64),
-    )
-
-
-def _distance_vector(
-    center: Sequence[int], l: int, p: float, guard: int = DEFAULT_ENUMERATION_GUARD
-) -> np.ndarray:
-    d_counts, e_counts = _distance_components(center, l, guard)
-    return d_counts + p * e_counts
+    return pair_counts(_space_signs(n, l), ranking_pair_signs(np.asarray(center)))
 
 
 def _canonical_center(class_key: tuple[int, ...]) -> tuple[int, ...]:
@@ -166,24 +165,54 @@ def _log_sum_exp(values: np.ndarray) -> float:
 
 
 class PartitionCache:
-    """Memoized partition function values and distance histograms.
+    """Memoized partition function values, distance histograms and vectors.
 
     The histogram of (discordant, tied-in-one) pair counts over the whole
     space is cached per (n, l, structural class); from it, log psi for any
     (p, spread) is a short log-sum-exp instead of a fresh l^n scan. Psi
     values themselves are cached with the spread quantized to 12 decimal
     digits, in an LRU bounded so long chains with ever-changing spreads
-    cannot grow the cache without limit. Safe for concurrent use; racing
-    writers recompute identical values.
+    cannot grow the cache without limit. The exact sampler's per-center
+    distance vectors sit in a smaller LRU, since each holds l^n floats.
+    Safe for concurrent use; racing writers recompute identical values.
     """
 
     _LAMBDA_DIGITS = 12
     _MAX_PSI_ENTRIES = 65536
+    _MAX_DISTANCE_VECTORS = 16
 
     def __init__(self):
         self._lock = threading.Lock()
         self._histograms: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._log_psi: "OrderedDict[tuple, float]" = OrderedDict()
+        self._distances: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+
+    def draw(
+        self, center: tuple[int, ...], l: int, p: float, spread: float,
+        rng: np.random.Generator, count: int, guard: int = DEFAULT_ENUMERATION_GUARD,
+    ) -> list[tuple[int, ...]]:
+        """Exact i.i.d. draws from Mallows(center, spread) over {1..l}^n.
+
+        Inverts the CDF of the enumerated pmf, using the vector of
+        distances from center to every point of the space in
+        lexicographic order.
+        """
+        key = (l, p, center)
+        with self._lock:
+            distances = self._distances.get(key)
+            if distances is not None:
+                self._distances.move_to_end(key)
+        if distances is None:
+            d_counts, e_counts = _distance_components(center, l, guard)
+            distances = d_counts + p * e_counts
+            with self._lock:
+                self._distances[key] = distances
+                while len(self._distances) > self._MAX_DISTANCE_VECTORS:
+                    self._distances.popitem(last=False)
+        cdf = np.cumsum(np.exp(-distances / spread))
+        draws = rng.random(count) * cdf[-1]
+        idx = np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
+        return [tuple(row) for row in _decode(idx, len(center), l).T.tolist()]
 
     def histogram(
         self, n: int, l: int, class_key: tuple[int, ...], guard: int = DEFAULT_ENUMERATION_GUARD
@@ -286,15 +315,6 @@ def log_pmf(
     return -d / params.spread - log_partition_function(params, cfg, cache, guard)
 
 
-def _sample_indices(
-    distances: np.ndarray, spread: float, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    weights = np.exp(-distances / spread)
-    cdf = np.cumsum(weights)
-    draws = rng.random(count) * cdf[-1]
-    return np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
-
-
 def sample(
     params: MallowsParams,
     cfg: DistanceConfig = DistanceConfig(),
@@ -307,7 +327,8 @@ def sample(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = rng if rng is not None else np.random.default_rng()
-    distances = _distance_vector(params.center.stages, params.l, cfg.p, guard)
-    space = _space_array(params.n, params.l)
-    idx = _sample_indices(distances, params.spread, rng, count)
-    return [CentralRanking(tuple(int(v) for v in space[i])) for i in idx]
+    cache = cache if cache is not None else _DEFAULT_CACHE
+    draws = cache.draw(
+        params.center.stages, params.l, cfg.p, params.spread, rng, count, guard
+    )
+    return [CentralRanking(stages) for stages in draws]

@@ -12,7 +12,10 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 #: Sentinel for an unranked item in a :class:`PartialRanking`.
 MISSING = None
@@ -219,38 +222,60 @@ def pair_tally(x: Ranking, y: Ranking) -> dict[PairKind, int]:
     return tally
 
 
+@lru_cache(maxsize=32)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Item indices (i, j) of every unordered pair i < j, in row-major order."""
+    i, j = np.triu_indices(n, k=1)
+    return i.astype(np.int64), j.astype(np.int64)
+
+
+def pair_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise sign(a - b) as int8: how each compared pair is ordered."""
+    return (a > b).view(np.int8) - (a < b).view(np.int8)
+
+
+def ranking_pair_signs(stages: np.ndarray) -> np.ndarray:
+    """pair_signs of items i and j for every pair i < j, along the last axis."""
+    i, j = pair_indices(stages.shape[-1])
+    return pair_signs(stages[..., i], stages[..., j])
+
+
+def pair_counts(
+    x_signs: np.ndarray, y_signs: np.ndarray, valid: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Discordant and tied-in-one pair counts along the last axis.
+
+    Pairs where ``valid`` is False (those touching an unranked item) are
+    dropped and count as neither.
+    """
+    discordant = (x_signs * y_signs) == -1
+    tied_one = (x_signs == 0) ^ (y_signs == 0)
+    if valid is not None:
+        discordant &= valid
+        tied_one &= valid
+    return discordant.sum(axis=-1, dtype=np.int64), tied_one.sum(axis=-1, dtype=np.int64)
+
+
 def kendall_tau_partial(
     x: Ranking, y: Ranking, cfg: DistanceConfig = DistanceConfig()
 ) -> float:
     """Penalized Kendall tau distance: |discordant| + p * |tied in one|.
 
     Concordant pairs, pairs tied in both rankings, and dropped pairs
-    contribute nothing. Symmetric in x and y; O(n^2) pair scan.
+    contribute nothing. Symmetric in x and y.
     """
     n = len(x.stages)
     if len(y.stages) != n:
         raise ValueError(f"rankings have {n} and {len(y.stages)} items")
-    xs = x.stages
-    ys = y.stages
-    discordant = 0
-    tied_one = 0
-    for i in range(n):
-        xi = xs[i]
-        yi = ys[i]
-        for j in range(i + 1, n):
-            xj = xs[j]
-            yj = ys[j]
-            if xi is MISSING or xj is MISSING or yi is MISSING or yj is MISSING:
-                continue
-            sx = (xi > xj) - (xi < xj)
-            sy = (yi > yj) - (yi < yj)
-            if sx == 0 and sy == 0:
-                continue
-            if sx == 0 or sy == 0:
-                tied_one += 1
-            elif sx != sy:
-                discordant += 1
-    return discordant + cfg.p * tied_one
+    # Object dtype compares the stages as Python ints, exactly at any size.
+    stages = np.array(
+        [[0 if v is MISSING else v for v in r.stages] for r in (x, y)], dtype=object
+    )
+    observed = (stages > 0).all(axis=0)
+    i, j = pair_indices(n)
+    signs = ranking_pair_signs(stages)
+    discordant, tied_one = pair_counts(signs[0], signs[1], observed[i] & observed[j])
+    return int(discordant) + cfg.p * int(tied_one)
 
 
 def ranking_from_values(values: Sequence[Optional[int]]) -> Ranking:

@@ -20,9 +20,7 @@ from .mallows import (
     PartitionCache,
     sample,
 )
-from .rankings import DistanceConfig, PartialRanking
-
-MISSING = None
+from .rankings import MISSING, DistanceConfig, PartialRanking
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,12 @@ class SynthConfig:
             raise ValueError(
                 f"missing_percent must lie in [0, 100], got {self.missing_percent}"
             )
-        if self.censor_scale < 0:
-            raise ValueError(f"censor_scale must be >= 0, got {self.censor_scale}")
+        if not 0 <= self.censor_scale < math.inf:
+            raise ValueError(f"censor_scale must be finite and >= 0, got {self.censor_scale}")
+        if not math.isfinite(self.censor_location_factor):
+            raise ValueError(
+                f"censor_location_factor must be finite, got {self.censor_location_factor}"
+            )
 
 
 def _round_half_up(x: float) -> int:

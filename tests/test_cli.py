@@ -79,6 +79,16 @@ class TestSimulate:
         assert result.exit_code == 3
         assert "4^30" in result.output or "exceeds" in result.output
 
+    @pytest.mark.parametrize("n,l", [("12", "4"), ("20000", "1")])
+    def test_byte_budget_exit_code(self, runner, tmp_path, n, l):
+        result = runner.invoke(
+            cli,
+            ["simulate", "--n", n, "--l", l, "--lambda", "1",
+             "--center-random", "--M", "5", "--out", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 3
+        assert "bytes" in result.output
+
     def test_missing_required_flag_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(cli, ["simulate", "--n", "3"])
         assert result.exit_code == 2
@@ -257,3 +267,43 @@ class TestDistance:
         write_ranking_file((1, 2, 3), b)
         result = runner.invoke(cli, ["distance", str(a), str(b)])
         assert result.exit_code == 2
+
+
+_SIMULATE = ["simulate", "--n", "4", "--l", "3", "--lambda", "1", "--M", "5"]
+_FIT = [
+    "fit", "--data", str(demo_dataset_path()),
+    "--prior-center", str(demo_dataset_path().parent / "wellbeing_survey_prior.json"),
+    "--iterations", "20", "--burn-in", "10",
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        _FIT + ["--min-response-rate", "2"],
+        ["simulate", "--n", "3", "--l", "3", "--lambda", "1", "--M", "5",
+         "--center", "1,2,9"],
+        ["simulate", "--n", "0", "--l", "3", "--lambda", "1", "--M", "5",
+         "--center-random"],
+        _SIMULATE + ["--center-random", "--missing-pct", "50", "--censor-scale", "inf"],
+        _SIMULATE + ["--center-random", "--missing-pct", "50",
+                     "--censor-location-factor", "nan"],
+        _FIT + ["--lambda-init", "inf"],
+        _FIT + ["--proposal-scale", "nan"],
+    ],
+    ids=[
+        "min-response-rate-above-one",
+        "center-outside-stages",
+        "zero-items",
+        "infinite-censor-scale",
+        "nan-censor-location",
+        "infinite-lambda-init",
+        "nan-proposal-scale",
+    ],
+)
+def test_invalid_input_exits_two_without_traceback(runner, tmp_path, args):
+    out_flag = "--out-dir" if args[0] == "fit" else "--out"
+    result = runner.invoke(cli, args + [out_flag, str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "Error" in result.output or "error" in result.output

@@ -7,6 +7,7 @@ from stagemallows.errors import CapacityError
 from stagemallows.mallows import (
     MallowsParams,
     PartitionCache,
+    check_guard,
     enumerate_space,
     log_pmf,
     partition_function,
@@ -41,6 +42,18 @@ class TestEnumerateSpace:
             list(enumerate_space(8, 4, guard=1000))
         assert "65536" in str(err.value)
         assert "1000" in str(err.value)
+
+
+class TestByteGuard:
+    # Only the guard's arithmetic runs here; no table is ever allocated.
+    @pytest.mark.parametrize("n,l", [(12, 4), (20000, 1)])
+    def test_refuses_spaces_beyond_the_byte_budget(self, n, l):
+        with pytest.raises(CapacityError, match="bytes"):
+            check_guard(n, l)
+
+    @pytest.mark.parametrize("n,l", [(11, 4), (10, 4), (8, 4), (6, 3), (1, 2), (2, 1)])
+    def test_accepts_sizes_in_use(self, n, l):
+        assert check_guard(n, l) == l**n
 
 
 class TestStructuralClass:

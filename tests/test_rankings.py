@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stagemallows.mallows import _space_signs
 from stagemallows.rankings import (
     MISSING,
     CentralRanking,
@@ -13,10 +14,13 @@ from stagemallows.rankings import (
     StageDomain,
     classify_pair,
     kendall_tau_partial,
+    pair_counts,
+    pair_indices,
     pair_tally,
+    ranking_pair_signs,
 )
 
-from oracles import inversion_count, naive_distance
+from oracles import full_space, inversion_count, naive_distance
 
 
 def central(*stages):
@@ -217,3 +221,45 @@ class TestMetricProperties:
             tuple(MISSING if k == idx else v for k, v in enumerate(x.stages))
         )
         assert kendall_tau_partial(masked, y) <= kendall_tau_partial(x, y) + 1e-12
+
+
+@st.composite
+def partial_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    entries = st.lists(
+        st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+        min_size=n,
+        max_size=n,
+    ).filter(lambda stages: any(v is not MISSING for v in stages))
+    return PartialRanking(tuple(draw(entries))), PartialRanking(tuple(draw(entries)))
+
+
+class TestPairSignKernel:
+    @given(partial_pairs())
+    @settings(max_examples=300, deadline=None)
+    @example((partial(2), partial(1)))
+    @example((partial(3, 3, 3, 3), partial(1, 2, MISSING, 2)))
+    @example((partial(2, 2, 2), partial(2, 2, 2)))
+    def test_counts_and_distance_match_scalar_definition(self, pair):
+        x, y = pair
+        stages = np.array([[0 if v is MISSING else v for v in r.stages] for r in pair])
+        observed = (stages > 0).all(axis=0)
+        i, j = pair_indices(x.n)
+        signs = ranking_pair_signs(stages)
+        discordant, tied_one = pair_counts(signs[0], signs[1], observed[i] & observed[j])
+        tally = pair_tally(x, y)
+        assert int(discordant) == tally[PairKind.DISCORDANT]
+        assert int(tied_one) == tally[PairKind.TIED_ONE]
+        for p in (0.5, 0.7, 1.0):
+            d = kendall_tau_partial(x, y, DistanceConfig(p=p))
+            assert type(d) is float
+            assert d == pytest.approx(naive_distance(x.stages, y.stages, p), abs=1e-12)
+
+    @pytest.mark.parametrize("n,l", [(1, 3), (2, 1), (3, 3), (4, 2), (5, 3)])
+    def test_sign_table_matches_enumerated_space(self, n, l):
+        space = np.array(full_space(n, l))
+        i, j = np.triu_indices(n, k=1)
+        want = np.sign(space[:, i] - space[:, j]).astype(np.int8)
+        got = _space_signs(n, l)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
