@@ -38,7 +38,7 @@ from .io import (
     write_raw_dataset,
     write_trace,
 )
-from .mallows import MallowsParams
+from .mallows import MallowsParams, check_guard
 from .rankings import (
     MISSING,
     CentralRanking,
@@ -166,6 +166,8 @@ def _synth_config(rng, n, l, spread, center, center_random, size, missing_pct,
     """Settings of --n ... --censor-scale; a random true center comes from rng."""
     if (center is None) == (not center_random):
         raise click.UsageError("provide exactly one of --center / --center-random")
+    # Refuse a space the sampler cannot enumerate before building an n-item center.
+    check_guard(n, l)
     domain = StageDomain(l)
     truth_center = (
         _uniform_center(rng, n, l) if center_random else _parse_center(center, n, l)
@@ -304,34 +306,42 @@ def _resolve_prior_center(
     return center
 
 
-def _load_truth(data_path: Path) -> dict | None:
+def _load_truth(data_path: Path, n: int) -> tuple[CentralRanking, float] | None:
+    """The (center, lambda) of the truth.json next to the data, if any.
+
+    Read before the chain runs, so that a malformed file fails at once. A
+    file that lacks either value, or whose center has another item count,
+    gives no truth to compare with.
+    """
     truth_path = data_path.parent / "truth.json"
     if not truth_path.exists():
         return None
     try:
-        return json.loads(truth_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+        truth = json.loads(truth_path.read_text(encoding="utf-8"))
+    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
+        raise FormatError(f"{truth_path} is not valid JSON: {err}")
+    if not isinstance(truth, dict):
+        raise FormatError(f"{truth_path} must hold a JSON object")
+    stages = truth.get("center_internal")
+    if not isinstance(stages, list) or len(stages) != n or "lambda" not in truth:
         return None
+    try:
+        return CentralRanking(tuple(int(v) for v in stages)), float(truth["lambda"])
+    except (TypeError, ValueError) as err:
+        raise FormatError(f"{truth_path}: bad center_internal or lambda: {err}")
 
 
 def _evaluation_block(
-    truth: dict | None, result, ds: QuestionnaireDataset, cfg: DistanceConfig
+    truth: tuple[CentralRanking, float] | None, result, cfg: DistanceConfig
 ) -> dict | None:
     if truth is None:
         return None
-    stages = truth.get("center_internal")
-    if (
-        not isinstance(stages, list)
-        or len(stages) != ds.items.n
-        or "lambda" not in truth
-    ):
-        return None
-    truth_center = CentralRanking(tuple(int(v) for v in stages))
+    truth_center, truth_lambda = truth
     return {
         "dp_to_truth": kendall_tau_partial(result.pi_map, truth_center, cfg),
-        "lambda_abs_error": abs(result.lambda_map - float(truth["lambda"])),
-        "truth_lambda": float(truth["lambda"]),
-        "truth_center_internal": [int(v) for v in stages],
+        "lambda_abs_error": abs(result.lambda_map - truth_lambda),
+        "truth_lambda": truth_lambda,
+        "truth_center_internal": list(truth_center.stages),
     }
 
 
@@ -360,6 +370,7 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
     if min_response_rate > 0.0:
         ds = filter_items(ds, min_response_rate)
 
+    truth = _load_truth(data, ds.items.n)
     rng = np.random.default_rng(seed)
     prior_center_ranking = _resolve_prior_center(prior_center, ds, rng)
     start = (
@@ -394,7 +405,7 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
         },
     )
 
-    evaluation = _evaluation_block(_load_truth(data), result, ds, cfg)
+    evaluation = _evaluation_block(truth, result, cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_fit_report(

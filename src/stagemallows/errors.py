@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class StageMallowsError(Exception):
     """Base class for errors raised by this package."""
@@ -8,16 +10,18 @@ class StageMallowsError(Exception):
 class CapacityError(StageMallowsError):
     """The requested ranking space exceeds the enumeration guard or byte budget."""
 
+    #: Longest l^n, in decimal digits, that the message writes out in full.
+    _MAX_DIGITS = 30
+
     def __init__(self, n: int, l: int, guard: int, reason: str | None = None):
         self.n = n
         self.l = l
         self.guard = guard
-        self.space_size = l**n
+        size = f"{l}^{n}"
+        if n * math.log10(max(l, 1)) < self._MAX_DIGITS:
+            size += f" = {l**n}"
         reason = reason or f"exceeds the enumeration guard of {guard}"
-        super().__init__(
-            f"ranking space has l^n = {l}^{n} = {self.space_size} points, "
-            f"which {reason}"
-        )
+        super().__init__(f"ranking space has l^n = {size} points, which {reason}")
 
 
 class FormatError(StageMallowsError):

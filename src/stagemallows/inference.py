@@ -302,6 +302,25 @@ class _Evaluator:
         )
 
 
+def _evaluate(
+    data: Sequence[PartialRanking],
+    params: MallowsParams,
+    prior: PriorConfig,
+    cfg: DistanceConfig,
+    cache: PartitionCache | None,
+    mode: str,
+    guard: int,
+) -> tuple[_Evaluator, tuple]:
+    """One evaluator over data and prior, and the statistics of params' center."""
+    if mode not in (RESTRICTED, GLOBAL):
+        raise ValueError(f"unknown normalization {mode!r}")
+    cache = cache if cache is not None else default_cache()
+    ev = _Evaluator(data, params.domain, prior, cfg, cache, mode, guard)
+    if params.n != ev.n:
+        raise ValueError(f"model has {params.n} items, data has {ev.n}")
+    return ev, ev.center_stats(params.center.stages)
+
+
 def log_likelihood(
     data: Sequence[PartialRanking],
     params: MallowsParams,
@@ -315,12 +334,8 @@ def log_likelihood(
     Respondents are independent; each censored respondent contributes its
     dropped-pair distance, normalized per ``mode`` (see module docstring).
     """
-    if mode not in (RESTRICTED, GLOBAL):
-        raise ValueError(f"unknown normalization {mode!r}")
-    cache = cache if cache is not None else default_cache()
     prior = PriorConfig(center=params.center)
-    ev = _Evaluator(data, params.domain, prior, cfg, cache, mode, guard)
-    stats = ev.center_stats(params.center.stages)
+    ev, stats = _evaluate(data, params, prior, cfg, cache, mode, guard)
     return ev.log_likelihood(stats, params.spread)
 
 
@@ -351,9 +366,8 @@ def log_posterior(
     guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> float:
     """Unnormalized log posterior: log likelihood plus log prior."""
-    return log_likelihood(data, params, cfg, cache, mode, guard) + log_prior(
-        params, prior, cfg, cache, guard
-    )
+    ev, stats = _evaluate(data, params, prior, cfg, cache, mode, guard)
+    return ev.log_posterior(stats, params.spread)
 
 
 def _propose_truncated_normal(

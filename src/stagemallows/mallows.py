@@ -5,9 +5,11 @@ Kendall tau distance from a central ranking:
 
     f(x) = exp(-d_p(x, center) / spread) / psi(spread)
 
-where psi is the normalizing sum over all l^n assignments. Everything
-here works by exact enumeration of that space, protected by a capacity
-guard, with the expensive distance scans cached per structural class.
+where psi is the normalizing sum over all l^n assignments. psi comes from
+a histogram of (discordant, tied-in-one) pair counts over the space,
+built per structural class by a dynamic program over the center's
+buckets. The exact sampler still enumerates the space. Both are exact,
+and both sit behind a capacity guard.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ def check_guard(n: int, l: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> int:
     (more than building the table adds); per pair, the n-by-n mask and
     the two int64 arrays that list the pairs.
     """
+    # Past the guard's bit length, l^n > guard whenever l > 1; refuse such
+    # spaces before forming l**n, which at n in the millions is a huge integer.
+    if (n > 0 and l > guard) or (l > 1 and n >= guard.bit_length()):
+        raise CapacityError(n, l, guard)
     size = l**n
     if size > guard:
         raise CapacityError(n, l, guard)
@@ -151,12 +157,74 @@ def _distance_components(
     return pair_counts(_space_signs(n, l), ranking_pair_signs(np.asarray(center)))
 
 
-def _canonical_center(class_key: tuple[int, ...]) -> tuple[int, ...]:
-    """A representative center whose structural class is class_key."""
-    stages: list[int] = []
-    for stage, size in enumerate(class_key, start=1):
-        stages.extend([stage] * size)
-    return tuple(stages)
+@lru_cache(maxsize=256)
+def _compositions(b: int, l: int) -> tuple[np.ndarray, ...]:
+    """Every way v to spread b items over l stages, one per row, with
+    below[:, t] = sum_{t' < t} v_t', the multinomial(b; v), and the number
+    of the b items' pairs that v splits apart, C(b,2) - sum_t C(v_t,2)."""
+    rows = []
+    for bars in itertools.combinations(range(b + l - 1), l - 1):
+        edges = (-1, *bars, b + l - 1)
+        rows.append([hi - lo - 1 for lo, hi in zip(edges, edges[1:])])
+    comps = np.array(rows, dtype=np.int64)
+    below = np.cumsum(comps, axis=1) - comps
+    mult = np.array([math.factorial(b) // math.prod(map(math.factorial, v)) for v in rows],
+                    dtype=np.int64)
+    split = math.comb(b, 2) - (comps * (comps - 1) // 2).sum(axis=1)
+    for array in (comps, below, mult, split):
+        array.setflags(write=False)
+    return comps, below, mult, split
+
+
+def _stage_count_histogram(
+    class_key: tuple[int, ...], l: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(discordant, tied-one, multiplicity) over {1..l}^n for a center of class_key.
+
+    The center's buckets are placed in stage order. The state u counts
+    the items already placed at each stage, and table[u, d, e] counts the
+    ways to reach u with d discordant and e tied-in-one pairs among them.
+    Placing a bucket with composition v over the stages adds
+    sum_t v_t * sum_{t' > t} u_t' discordant pairs (a later bucket placed
+    below an earlier one), sum_t v_t * u_t tied-one pairs across buckets,
+    and the bucket's own pairs that v splits apart.
+
+    At most n stages are occupied, so for l > n the program runs over n
+    stages: a final state with j occupied stages stands for C(n, j) ways
+    to choose them there and C(l, j) over l stages.
+    """
+    n = sum(class_key)
+    k = min(l, n)
+    radix = (n + 1) ** np.arange(k, dtype=np.int64)
+    states = np.zeros((1, k), dtype=np.int64)
+    table = np.ones((1, 1, 1), dtype=np.int64)
+    for b in class_key:
+        comps, below, mult, split = _compositions(b, k)
+        discordant = states @ below.T
+        tied = states @ comps.T + split
+        # u -> u + v is injective for each v, so each scatter below
+        # writes every cell at most once.
+        codes, dest = np.unique((states @ radix)[:, np.newaxis] + comps @ radix,
+                                return_inverse=True)
+        s, rows, cols = table.shape
+        width = cols + int(tied.max())
+        grown = np.zeros((len(codes), rows + int(discordant.max()), width), dtype=np.int64)
+        base = (dest.reshape(s, -1) * grown.shape[1] + discordant) * width + tied
+        cells = (np.arange(rows)[:, np.newaxis] * width + np.arange(cols)).ravel()
+        flat, source = grown.reshape(-1), table.reshape(s, -1)
+        for c in range(len(comps)):
+            flat[base[:, c, np.newaxis] + cells] += mult[c] * source
+        states = codes[:, np.newaxis] // radix % (n + 1)
+        table = grown
+    if l > n:
+        occupied = np.count_nonzero(states, axis=1)
+        table = np.stack([
+            table[occupied == j].sum(axis=0) // math.comb(n, j) * math.comb(l, j)
+            for j in range(1, n + 1)
+        ])
+    counts = table.sum(axis=0)
+    d_counts, e_counts = np.nonzero(counts)
+    return d_counts, e_counts, counts[d_counts, e_counts]
 
 
 def _log_sum_exp(values: np.ndarray) -> float:
@@ -168,18 +236,20 @@ class PartitionCache:
     """Memoized partition function values, distance histograms and vectors.
 
     The histogram of (discordant, tied-in-one) pair counts over the whole
-    space is cached per (n, l, structural class); from it, log psi for any
-    (p, spread) is a short log-sum-exp instead of a fresh l^n scan. Psi
-    values themselves are cached with the spread quantized to 12 decimal
-    digits, in an LRU bounded so long chains with ever-changing spreads
-    cannot grow the cache without limit. The exact sampler's per-center
-    distance vectors sit in a smaller LRU, since each holds l^n floats.
-    Safe for concurrent use; racing writers recompute identical values.
+    space is built by the stage-count dynamic program, without touching
+    the l^n points, and cached per (n, l, structural class); from it, log
+    psi for any (p, spread) is a short log-sum-exp. Psi values themselves
+    are cached with the spread quantized to 12 decimal digits, in an LRU
+    bounded so long chains with ever-changing spreads cannot grow the
+    cache without limit. The exact sampler enumerates: its per-center
+    distance vectors hold l^n floats each, so only the last two are kept
+    (the chain draws around its current center, and a rejected move keeps
+    it). Safe for concurrent use; racing writers recompute identical values.
     """
 
     _LAMBDA_DIGITS = 12
     _MAX_PSI_ENTRIES = 65536
-    _MAX_DISTANCE_VECTORS = 16
+    _MAX_DISTANCE_VECTORS = 2
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -223,11 +293,8 @@ class PartitionCache:
             hit = self._histograms.get(key)
         if hit is not None:
             return hit
-        d_counts, e_counts = _distance_components(_canonical_center(class_key), l, guard)
-        # Pack the two small nonnegative counts into one integer for np.unique.
-        packer = int(d_counts.max()) + int(e_counts.max()) + 2
-        packed, mult = np.unique(d_counts * packer + e_counts, return_counts=True)
-        entry = (packed // packer, packed % packer, mult)
+        check_guard(n, l, guard)
+        entry = _stage_count_histogram(class_key, l)
         with self._lock:
             self._histograms[key] = entry
         return entry

@@ -79,6 +79,19 @@ class TestSimulate:
         assert result.exit_code == 3
         assert "4^30" in result.output or "exceeds" in result.output
 
+    # 4^8000 has more decimal digits than Python converts to a string, and
+    # a random center of 10^12 items would not fit in memory.
+    @pytest.mark.parametrize("n", ["8000", "1000000000000"])
+    def test_capacity_exit_code_for_huge_spaces(self, runner, tmp_path, n):
+        result = runner.invoke(
+            cli,
+            ["simulate", "--n", n, "--l", "4", "--lambda", "1",
+             "--center-random", "--M", "1", "--out", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 3, result.output
+        assert "Traceback" not in result.output
+        assert f"4^{n} points" in result.output
+
     @pytest.mark.parametrize("n,l", [("12", "4"), ("20000", "1")])
     def test_byte_budget_exit_code(self, runner, tmp_path, n, l):
         result = runner.invoke(
@@ -189,6 +202,30 @@ class TestFit:
         report = json.loads((tmp_path / "fit" / "report.json").read_text())
         assert report["stage_label_offset"] == 2
         assert min(report["map_center_labels"]) >= 2
+
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"center_internal": [1, 2, 2, 3, 3], "lambda": "1.0.0"}',
+            '{"center_internal": [1, 2, "two", 3, 3], "lambda": 1.0}',
+            '{"center_internal": [1, 2, 2, 3, 3], "lambda": ',
+        ],
+        ids=["non-numeric-lambda", "non-numeric-center", "invalid-json"],
+    )
+    def test_bad_truth_exits_two_before_the_chain(self, runner, tmp_path, monkeypatch, text):
+        simulate(runner, tmp_path / "sim", seed=2)
+        (tmp_path / "sim" / "truth.json").write_text(text)
+        chains = []
+        monkeypatch.setattr("stagemallows.cli.mcmc_fit", lambda *a, **k: chains.append(a))
+        result = runner.invoke(
+            cli, self.fit_args(tmp_path / "sim" / "dataset.csv", tmp_path / "fit")
+        )
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert "truth.json" in result.output
+        assert chains == []
+        assert not (tmp_path / "fit").exists()
 
 
 class TestEval:

@@ -1,12 +1,17 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stagemallows.errors import CapacityError
 from stagemallows.mallows import (
     MallowsParams,
     PartitionCache,
+    _distance_components,
     check_guard,
     enumerate_space,
     log_pmf,
@@ -16,7 +21,7 @@ from stagemallows.mallows import (
 )
 from stagemallows.rankings import CentralRanking, StageDomain
 
-from oracles import naive_pmf, naive_psi
+from oracles import full_space, naive_distance, naive_pmf, naive_psi
 
 
 def params(stages, spread, l):
@@ -54,6 +59,81 @@ class TestByteGuard:
     @pytest.mark.parametrize("n,l", [(11, 4), (10, 4), (8, 4), (6, 3), (1, 2), (2, 1)])
     def test_accepts_sizes_in_use(self, n, l):
         assert check_guard(n, l) == l**n
+
+
+def bucket_center(sizes):
+    """The center with buckets of the given sizes at stages 1, 2, ..."""
+    return tuple(stage for stage, size in enumerate(sizes, start=1) for _ in range(size))
+
+
+def brute_force_histogram(center, l):
+    """(discordant, tied-one) -> count over {1..l}^n, from the oracle distance."""
+    tally = Counter()
+    for x in full_space(len(center), l):
+        d = naive_distance(x, center, p=0.0)
+        tally[int(d), int(naive_distance(x, center, p=1.0) - d)] += 1
+    return tally
+
+
+def enumerated_histogram(center, l):
+    """The histogram tallied from the pair counts of every enumerated point."""
+    d_counts, e_counts = _distance_components(center, l)
+    packer = int(d_counts.max()) + int(e_counts.max()) + 2
+    packed, mult = np.unique(d_counts * packer + e_counts, return_counts=True)
+    return packed // packer, packed % packer, mult
+
+
+@st.composite
+def histogram_classes(draw):
+    """(n, l, class key) with n <= 7 items in at most l <= 4 buckets."""
+    l = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=7))
+    buckets = draw(st.integers(min_value=1, max_value=min(l, n)))
+    cuts = draw(st.permutations(range(1, n)))[:buckets - 1]
+    edges = [0, *sorted(cuts), n]
+    sizes = tuple(b - a for a, b in zip(edges, edges[1:]))
+    return n, l, structural_class(bucket_center(sizes))
+
+
+class TestHistogram:
+    @given(histogram_classes())
+    @settings(max_examples=30, deadline=None)
+    @example((5, 1, (5,)))
+    @example((6, 4, (6,)))
+    @example((7, 4, (1,) * 7))
+    @example((3, 4, (1, 1, 1)))
+    @example((3, 9, (1, 2)))
+    @example((2, 40, (1, 1)))
+    def test_matches_brute_force_tally(self, case):
+        n, l, class_key = case
+        d, e, mult = PartitionCache().histogram(n, l, class_key)
+        want = sorted(brute_force_histogram(bucket_center(class_key), l).items())
+        assert [(int(a), int(b)) for a, b in zip(d, e)] == [key for key, _ in want]
+        assert mult.tolist() == [count for _, count in want]
+        assert int(mult.sum()) == l**n
+
+    def test_equals_enumeration_for_every_class_at_n8_l4(self):
+        classes = {
+            structural_class(bucket_center(sizes))
+            for k in range(1, 5)
+            for sizes in itertools.product(range(1, 9), repeat=k)
+            if sum(sizes) == 8
+        }
+        assert len(classes) == 36
+        cache = PartitionCache()
+        for class_key in sorted(classes):
+            got = cache.histogram(8, 4, class_key)
+            want = enumerated_histogram(bucket_center(class_key), 4)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b), class_key
+
+    def test_many_stages_stay_cheap(self):
+        # Over n=2 items only two of the 4096 stages are ever occupied.
+        d, e, mult = PartitionCache().histogram(2, 4096, (1, 1))
+        assert list(zip(d.tolist(), e.tolist(), mult.tolist())) == [
+            (0, 0, 4096 * 4095 // 2), (0, 1, 4096), (1, 0, 4096 * 4095 // 2)
+        ]
 
 
 class TestStructuralClass:
