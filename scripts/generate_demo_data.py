@@ -7,6 +7,12 @@ cohort to the nearest respondent. The stage assignments themselves are
 drawn from a staged Mallows model, so the file is safe to ship: it
 contains no real survey responses.
 
+The bundled CSV was drawn by the earlier sampler, which enumerated the
+space and inverted its CDF. The current sampler draws from the same
+distribution through a different random stream, so rerunning this script
+gives a different file. The bundled one is kept as it is, because
+benchmarks and tests read it.
+
 Run from the repository root:
 
     python3 scripts/generate_demo_data.py

@@ -306,12 +306,15 @@ def _resolve_prior_center(
     return center
 
 
-def _load_truth(data_path: Path, n: int) -> tuple[CentralRanking, float] | None:
+def _load_truth(
+    data_path: Path, n: int, domain: StageDomain
+) -> tuple[CentralRanking, float] | None:
     """The (center, lambda) of the truth.json next to the data, if any.
 
-    Read before the chain runs, so that a malformed file fails at once. A
-    file that lacks either value, or whose center has another item count,
-    gives no truth to compare with.
+    Read before the chain runs, so that a malformed file fails at once: a
+    center stage that is not an integer in the dataset's 1..l is a format
+    error. A file that lacks either value, or whose center has another
+    item count, gives no truth to compare with.
     """
     truth_path = data_path.parent / "truth.json"
     if not truth_path.exists():
@@ -326,7 +329,9 @@ def _load_truth(data_path: Path, n: int) -> tuple[CentralRanking, float] | None:
     if not isinstance(stages, list) or len(stages) != n or "lambda" not in truth:
         return None
     try:
-        return CentralRanking(tuple(int(v) for v in stages)), float(truth["lambda"])
+        center = CentralRanking(tuple(stages))
+        center.check_domain(domain)
+        return center, float(truth["lambda"])
     except (TypeError, ValueError) as err:
         raise FormatError(f"{truth_path}: bad center_internal or lambda: {err}")
 
@@ -370,7 +375,7 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
     if min_response_rate > 0.0:
         ds = filter_items(ds, min_response_rate)
 
-    truth = _load_truth(data, ds.items.n)
+    truth = _load_truth(data, ds.items.n, ds.stage_domain)
     rng = np.random.default_rng(seed)
     prior_center_ranking = _resolve_prior_center(prior_center, ds, rng)
     start = (

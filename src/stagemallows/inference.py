@@ -391,12 +391,14 @@ def mcmc_fit(
     """Run the Metropolis-within-Gibbs chain and return the MAP sample.
 
     Each iteration proposes a new center from a Mallows distribution
-    around the current one (accepted with the Metropolis-Hastings ratio,
-    which includes the ratio of the two proposal normalizers because
+    around the current one, drawn exactly through the stage-count program
+    (PartitionCache.draw), and accepts it with the Metropolis-Hastings
+    ratio, which includes the ratio of the two proposal normalizers because
     centers in different structural classes have different partition
-    functions), then a new spread from a truncated normal random walk
-    (with the matching truncation correction). A proposal scale of zero
-    disables the spread move, pinning the spread at its initial value.
+    functions. Then it proposes a new spread from a truncated normal
+    random walk (with the matching truncation correction). A proposal
+    scale of zero disables the spread move, pinning the spread at its
+    initial value.
     """
     cache = cache if cache is not None else default_cache()
     ev = _Evaluator(data, domain, prior, cfg, cache, mcmc.normalization, guard)

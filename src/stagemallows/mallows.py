@@ -5,11 +5,14 @@ Kendall tau distance from a central ranking:
 
     f(x) = exp(-d_p(x, center) / spread) / psi(spread)
 
-where psi is the normalizing sum over all l^n assignments. psi comes from
-a histogram of (discordant, tied-in-one) pair counts over the space,
-built per structural class by a dynamic program over the center's
-buckets. The exact sampler still enumerates the space. Both are exact,
-and both sit behind a capacity guard.
+where psi is the normalizing sum over all l^n assignments. Both psi and
+the exact sampler come from one dynamic program per structural class,
+which places the center's buckets in stage order and tracks how many
+items sit at each stage. psi comes from the histogram of (discordant,
+tied-in-one) pair counts it builds; the sampler runs it backward at the
+requested spread and samples forward through it. Neither touches the l^n
+points. Both sit behind the capacity guard, whose limits are still
+those of enumerating the space.
 """
 
 from __future__ import annotations
@@ -30,17 +33,15 @@ from .rankings import (
     DistanceConfig,
     StageDomain,
     kendall_tau_partial,
-    pair_counts,
-    pair_indices,
-    pair_signs,
-    ranking_pair_signs,
 )
 
-#: Largest l^n the enumeration paths will touch before failing loudly.
+#: Largest l^n any operation accepts before failing loudly.
 DEFAULT_ENUMERATION_GUARD = 2**24
 
 #: Largest number of bytes enumerating a space may take (see check_guard).
 ENUMERATION_BYTE_BUDGET = 2**31
+
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,14 @@ class MallowsParams:
 def check_guard(n: int, l: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> int:
     """Return l**n, or raise CapacityError past the guard or the byte budget.
 
-    The peak bytes of enumerating are estimated from above: per point and
-    item pair, the int8 sign table and three table-sized temporaries of a
-    distance scan; per point, 48 bytes of count, distance and CDF vectors
-    (more than building the table adds); per pair, the n-by-n mask and
-    the two int64 arrays that list the pairs.
+    The estimate is of the peak bytes of enumerating the space, from
+    above: per point and item pair, an int8 sign table and three
+    table-sized temporaries of a distance scan; per point, 48 bytes of
+    count, distance and CDF vectors; per pair, the n-by-n mask and the two
+    int64 arrays that list the pairs. No code path enumerates any more
+    (the histograms and the draw run the stage-count program), but the
+    guard and its byte estimate are kept unchanged until they are
+    redefined over the program's states.
     """
     # Past the guard's bit length, l^n > guard whenever l > 1; refuse such
     # spaces before forming l**n, which at n in the millions is a huge integer.
@@ -122,41 +126,6 @@ def enumerate_space(
         yield CentralRanking(stages)
 
 
-def _decode(index: np.ndarray, n: int, l: int) -> np.ndarray:
-    """The points of {1..l}^n at the given lexicographic indices, one per column."""
-    powers = l ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    stages = index // powers[:, np.newaxis]
-    stages %= l
-    stages += 1
-    return stages
-
-
-@lru_cache(maxsize=32)
-def _space_signs(n: int, l: int) -> np.ndarray:
-    """Pair signs of every point of {1..l}^n: int8 (l**n, n(n-1)/2), lexicographic.
-
-    Filled one pair column at a time, so no table-sized temporary is
-    made. Column-major, so that each column is contiguous and a distance
-    scan reduces across whole columns.
-    """
-    stages = _decode(np.arange(l**n), n, l)
-    i, j = pair_indices(n)
-    table = np.empty((l**n, len(i)), dtype=np.int8, order="F")
-    for k in range(len(i)):
-        table[:, k] = pair_signs(stages[i[k]], stages[j[k]])
-    table.setflags(write=False)
-    return table
-
-
-def _distance_components(
-    center: Sequence[int], l: int, guard: int = DEFAULT_ENUMERATION_GUARD
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-space-point discordant and tied-in-one pair counts vs center."""
-    n = len(center)
-    check_guard(n, l, guard)
-    return pair_counts(_space_signs(n, l), ranking_pair_signs(np.asarray(center)))
-
-
 @lru_cache(maxsize=256)
 def _compositions(b: int, l: int) -> tuple[np.ndarray, ...]:
     """Every way v to spread b items over l stages, one per row, with
@@ -176,48 +145,83 @@ def _compositions(b: int, l: int) -> tuple[np.ndarray, ...]:
     return comps, below, mult, split
 
 
+@dataclass(frozen=True)
+class _Step:
+    """Placing one bucket: from each state s by each composition c to dest[s, c],
+    adding discordant[s, c] and tied[s, c] pairs in mult[c] ways. Row c of
+    stages lists the 0-based stages composition c gives the bucket's items,
+    in order."""
+
+    mult: np.ndarray
+    dest: np.ndarray
+    discordant: np.ndarray
+    tied: np.ndarray
+    stages: np.ndarray
+    states: int
+
+
+@lru_cache(maxsize=256)
+def _stage_steps(class_key: tuple[int, ...], k: int) -> tuple[tuple[_Step, ...], np.ndarray]:
+    """The stage-count program for buckets of sizes class_key, in order, over
+    k stages: one _Step per bucket, and the final states (one per row).
+
+    The state u counts the items already placed at each stage. Placing a
+    bucket with composition v over the stages moves u to u + v and adds
+    sum_t v_t * sum_{t' > t} u_t' discordant pairs (a later bucket placed
+    below an earlier one), sum_t v_t * u_t tied-one pairs across buckets,
+    and the bucket's own pairs that v splits apart.
+    """
+    n = sum(class_key)
+    radix = (n + 1) ** np.arange(k, dtype=np.int64)
+    states = np.zeros((1, k), dtype=np.int64)
+    steps = []
+    for b in class_key:
+        comps, below, mult, split = _compositions(b, k)
+        # u -> u + v is injective for each v, so no two edges from one
+        # state meet, and each histogram scatter writes a cell once.
+        codes, dest = np.unique((states @ radix)[:, np.newaxis] + comps @ radix,
+                                return_inverse=True)
+        placed = np.repeat(np.tile(np.arange(k, dtype=np.int8), len(comps)), comps.ravel())
+        steps.append(_Step(mult, dest.reshape(len(states), len(comps)), states @ below.T,
+                           states @ comps.T + split, placed.reshape(len(comps), b),
+                           len(codes)))
+        states = codes[:, np.newaxis] // radix % (n + 1)
+    for step in steps:
+        for array in (step.dest, step.discordant, step.tied, step.stages):
+            array.setflags(write=False)
+    states.setflags(write=False)
+    return tuple(steps), states
+
+
 def _stage_count_histogram(
     class_key: tuple[int, ...], l: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(discordant, tied-one, multiplicity) over {1..l}^n for a center of class_key.
 
-    The center's buckets are placed in stage order. The state u counts
-    the items already placed at each stage, and table[u, d, e] counts the
-    ways to reach u with d discordant and e tied-in-one pairs among them.
-    Placing a bucket with composition v over the stages adds
-    sum_t v_t * sum_{t' > t} u_t' discordant pairs (a later bucket placed
-    below an earlier one), sum_t v_t * u_t tied-one pairs across buckets,
-    and the bucket's own pairs that v splits apart.
+    Runs the stage-count program (see _stage_steps), with table[u, d, e]
+    counting the ways to reach state u with d discordant and e tied-in-one
+    pairs among the items placed.
 
     At most n stages are occupied, so for l > n the program runs over n
     stages: a final state with j occupied stages stands for C(n, j) ways
     to choose them there and C(l, j) over l stages.
     """
     n = sum(class_key)
-    k = min(l, n)
-    radix = (n + 1) ** np.arange(k, dtype=np.int64)
-    states = np.zeros((1, k), dtype=np.int64)
+    steps, final_states = _stage_steps(class_key, min(l, n))
     table = np.ones((1, 1, 1), dtype=np.int64)
-    for b in class_key:
-        comps, below, mult, split = _compositions(b, k)
-        discordant = states @ below.T
-        tied = states @ comps.T + split
-        # u -> u + v is injective for each v, so each scatter below
-        # writes every cell at most once.
-        codes, dest = np.unique((states @ radix)[:, np.newaxis] + comps @ radix,
-                                return_inverse=True)
+    for step in steps:
         s, rows, cols = table.shape
-        width = cols + int(tied.max())
-        grown = np.zeros((len(codes), rows + int(discordant.max()), width), dtype=np.int64)
-        base = (dest.reshape(s, -1) * grown.shape[1] + discordant) * width + tied
+        width = cols + int(step.tied.max())
+        grown = np.zeros((step.states, rows + int(step.discordant.max()), width),
+                         dtype=np.int64)
+        base = (step.dest * grown.shape[1] + step.discordant) * width + step.tied
         cells = (np.arange(rows)[:, np.newaxis] * width + np.arange(cols)).ravel()
         flat, source = grown.reshape(-1), table.reshape(s, -1)
-        for c in range(len(comps)):
-            flat[base[:, c, np.newaxis] + cells] += mult[c] * source
-        states = codes[:, np.newaxis] // radix % (n + 1)
+        for c in range(len(step.mult)):
+            flat[base[:, c, np.newaxis] + cells] += step.mult[c] * source
         table = grown
     if l > n:
-        occupied = np.count_nonzero(states, axis=1)
+        occupied = np.count_nonzero(final_states, axis=1)
         table = np.stack([
             table[occupied == j].sum(axis=0) // math.comb(n, j) * math.comb(l, j)
             for j in range(1, n + 1)
@@ -227,35 +231,112 @@ def _stage_count_histogram(
     return d_counts, e_counts, counts[d_counts, e_counts]
 
 
-def _log_sum_exp(values: np.ndarray) -> float:
-    top = float(np.max(values))
-    return top + math.log(float(np.sum(np.exp(values - top))))
+@lru_cache(maxsize=4096)
+def _center_buckets(center: tuple[int, ...]) -> tuple[tuple[int, ...], bool, np.ndarray]:
+    """The center's structural class, whether its buckets in stage order run
+    against the class key, and each item's bucket in the key's order."""
+    _, bucket, sizes = np.unique(center, return_inverse=True, return_counts=True)
+    ordered = tuple(sizes.tolist())
+    class_key = min(ordered, ordered[::-1])
+    flip = ordered != class_key
+    if flip:
+        bucket = len(sizes) - 1 - bucket
+    bucket.setflags(write=False)
+    return class_key, flip, bucket
+
+
+def _uniform_subsets(sizes: np.ndarray, l: int, rng: np.random.Generator) -> np.ndarray:
+    """One uniformly random subset of {0..l-1} per row, of the row's size,
+    sorted and padded with l: Floyd's algorithm, run on all rows at once."""
+    top = int(sizes.max())
+    chosen = np.full((len(sizes), top), l)
+    for s in range(top):
+        t = l - top + s
+        pick = rng.integers(0, t + 1, size=len(sizes))
+        pick[(chosen == pick[:, np.newaxis]).any(axis=1)] = t
+        chosen[:, s] = np.where(s >= top - sizes, pick, l)
+    chosen.sort(axis=1)
+    return chosen
 
 
 class PartitionCache:
-    """Memoized partition function values, distance histograms and vectors.
+    """Memoized partition function values, distance histograms and draw weights.
 
     The histogram of (discordant, tied-in-one) pair counts over the whole
     space is built by the stage-count dynamic program, without touching
     the l^n points, and cached per (n, l, structural class); from it, log
-    psi for any (p, spread) is a short log-sum-exp. Psi values themselves
-    are cached with the spread quantized to 12 decimal digits, in an LRU
-    bounded so long chains with ever-changing spreads cannot grow the
-    cache without limit. The exact sampler enumerates: its per-center
-    distance vectors hold l^n floats each, so only the last two are kept
-    (the chain draws around its current center, and a rejected move keeps
-    it). Safe for concurrent use; racing writers recompute identical values.
+    psi for any (p, spread) is a short log-sum-exp over terms cached per
+    (n, l, p, class). Psi values themselves are cached per exact spread,
+    in an LRU bounded so long chains with ever-changing spreads cannot
+    grow the cache without limit. The exact sampler runs the same program
+    backward and samples forward through it; its edge distances, and the
+    tables of the last spread drawn at, are cached per (l, p, class). Safe
+    for concurrent use; racing writers recompute identical values.
     """
 
-    _LAMBDA_DIGITS = 12
     _MAX_PSI_ENTRIES = 65536
-    _MAX_DISTANCE_VECTORS = 2
 
     def __init__(self):
         self._lock = threading.Lock()
         self._histograms: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._psi_terms: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._draw_terms: dict[tuple, tuple] = {}
         self._log_psi: "OrderedDict[tuple, float]" = OrderedDict()
-        self._distances: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+
+    def _draw_tables(
+        self, n: int, l: int, p: float, class_key: tuple[int, ...], spread: float, guard: int
+    ) -> tuple[tuple[_Step, ...], np.ndarray, list[np.ndarray]]:
+        """The class's program, its final states, and per bucket the table
+        that the draw picks compositions from at this spread.
+
+        Run backward from the final states, each weighted by C(l, j) / C(n, j)
+        for its j occupied stages when l > n: ahead[s] sums, over the ways
+        to finish from state s, their weights exp(-distance / spread) times
+        their multiplicities. Composition c then takes the share of ahead[s]
+        that goes through it. A bucket's table lists, for each state s in
+        turn, s - 1 plus the running sum of its shares, so that state s covers
+        (s - 1, s] and composition c the part above its predecessor's entry.
+        The tables of the last spread are kept per (l, p, class) with the
+        edge distances: the chain draws again at the same spread and class
+        after each rejected move.
+        """
+        key = (l, p, class_key)
+        with self._lock:
+            entry = self._draw_terms.get(key)
+        if entry is None:
+            check_guard(n, l, guard)
+            steps, final_states = _stage_steps(class_key, min(l, n))
+            finish = np.ones(len(final_states))
+            if l > n:
+                ratio = np.array([math.comb(l, j) / math.comb(n, j) for j in range(n + 1)])
+                finish = ratio[np.count_nonzero(final_states, axis=1)]
+            dist = np.concatenate([(step.discordant + p * step.tied).ravel() for step in steps])
+            log_mult = np.concatenate([np.log(np.broadcast_to(step.mult, step.dest.shape)).ravel()
+                                       for step in steps])
+            offsets = [np.arange(-1, len(step.dest) - 1)[:, np.newaxis] for step in steps]
+            entry = (steps, final_states, (dist, log_mult, finish, offsets), None, None)
+        steps, final_states, terms, last_spread, tables = entry
+        if last_spread != spread:
+            dist, log_mult, finish, offsets = terms
+            edge_w = np.exp(log_mult - dist / spread)
+            tables, ahead, end = [], finish, len(edge_w)
+            for step, offset in zip(reversed(steps), reversed(offsets)):
+                start = end - step.dest.size
+                weights = edge_w[start:end].reshape(step.dest.shape) * ahead[step.dest]
+                cum = weights.cumsum(axis=1)
+                ahead = cum[:, -1]
+                # Dividing by the row's own total ends each row at exactly 1.
+                # A state no way finishes from has only zero shares; it is
+                # never entered, and dividing by the smallest normal float
+                # instead keeps its row at zero.
+                table = cum / np.maximum(ahead, _TINY)[:, np.newaxis]
+                table += offset
+                tables.append(table.ravel())
+                end = start
+            tables.reverse()
+            with self._lock:
+                self._draw_terms[key] = (steps, final_states, terms, spread, tables)
+        return steps, final_states, tables
 
     def draw(
         self, center: tuple[int, ...], l: int, p: float, spread: float,
@@ -263,26 +344,42 @@ class PartitionCache:
     ) -> list[tuple[int, ...]]:
         """Exact i.i.d. draws from Mallows(center, spread) over {1..l}^n.
 
-        Inverts the CDF of the enumerated pmf, using the vector of
-        distances from center to every point of the space in
-        lexicographic order.
+        Runs the center's stage-count program backward at this spread (see
+        _draw_tables), then samples forward through it: from the empty
+        state, for each bucket in turn, one composition in proportion to
+        the weight of the ways to finish through it. The compositions fix
+        how many of each bucket's items go to each stage; the items take
+        those stages in a uniformly random order. For l > n the program
+        runs over n stages, and the j occupied ones are mapped in order
+        onto a uniformly random j-subset of the l stages. A center whose
+        buckets run against its class key's order is drawn reversed and
+        flipped back. Nothing here grows with l^n.
         """
-        key = (l, p, center)
-        with self._lock:
-            distances = self._distances.get(key)
-            if distances is not None:
-                self._distances.move_to_end(key)
-        if distances is None:
-            d_counts, e_counts = _distance_components(center, l, guard)
-            distances = d_counts + p * e_counts
-            with self._lock:
-                self._distances[key] = distances
-                while len(self._distances) > self._MAX_DISTANCE_VECTORS:
-                    self._distances.popitem(last=False)
-        cdf = np.cumsum(np.exp(-distances / spread))
-        draws = rng.random(count) * cdf[-1]
-        idx = np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
-        return [tuple(row) for row in _decode(idx, len(center), l).T.tolist()]
+        n = len(center)
+        class_key, flip, bucket = _center_buckets(center)
+        steps, final_states, tables = self._draw_tables(n, l, p, class_key, spread, guard)
+        state = np.zeros(count, dtype=np.intp)
+        placed = []
+        for step, table, u in zip(steps, tables, rng.random((len(steps), count))):
+            # u lies in [0, 1), so state - u falls in the state's own range
+            # (up to rounding) and never on a composition without share.
+            edge = table.searchsorted(state - u)
+            placed.append(step.stages.take(edge % len(step.mult), axis=0))
+            state = step.dest.take(edge)
+
+        # The stages in bucket order, given to each bucket's items at random.
+        stages = np.concatenate(placed, axis=1)
+        items = (bucket + rng.random((count, n))).argsort(axis=1)
+        x = np.empty((count, n), dtype=np.int64)
+        x[np.arange(count)[:, np.newaxis], items] = stages
+        if l > n:
+            occupied = final_states[state] > 0
+            subsets = _uniform_subsets(occupied.sum(axis=1), l, rng)
+            x = np.take_along_axis(
+                np.take_along_axis(subsets, np.cumsum(occupied, axis=1) - 1, axis=1), x, axis=1
+            )
+        x = l - x if flip else x + 1
+        return [tuple(row) for row in x.tolist()]
 
     def histogram(
         self, n: int, l: int, class_key: tuple[int, ...], guard: int = DEFAULT_ENUMERATION_GUARD
@@ -308,18 +405,28 @@ class PartitionCache:
         spread: float,
         guard: int = DEFAULT_ENUMERATION_GUARD,
     ) -> float:
-        key = (n, l, p, class_key, round(spread, self._LAMBDA_DIGITS))
+        key = (n, l, p, class_key, spread)
         with self._lock:
             hit = self._log_psi.get(key)
             if hit is not None:
                 self._log_psi.move_to_end(key)
                 return hit
-        d_counts, e_counts, mult = self.histogram(n, l, class_key, guard)
+        histogram = self.histogram(n, l, class_key, guard)
+        terms_key = (n, l, p, class_key)
+        with self._lock:
+            terms = self._psi_terms.get(terms_key)
+        if terms is None:
+            d_counts, e_counts, mult = histogram
+            terms = (-(d_counts + p * e_counts), np.log(mult))
+            with self._lock:
+                self._psi_terms[terms_key] = terms
+        neg_dist, log_mult = terms
         # Near-zero spreads legitimately drive exponents to -inf; the
         # zero-distance entry keeps the log-sum-exp finite.
         with np.errstate(over="ignore"):
-            exponents = -(d_counts + p * e_counts) / spread + np.log(mult)
-        value = _log_sum_exp(exponents)
+            exponents = neg_dist / spread + log_mult
+        top = float(exponents.max())
+        value = top + math.log(float(np.exp(exponents - top).sum()))
         with self._lock:
             self._log_psi[key] = value
             while len(self._log_psi) > self._MAX_PSI_ENTRIES:
@@ -390,7 +497,8 @@ def sample(
     count: int = 1,
     guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> list[CentralRanking]:
-    """Draw exact i.i.d. samples by CDF inversion over the enumerated pmf."""
+    """Draw exact i.i.d. samples through the stage-count program (see
+    PartitionCache.draw); reproducible from a seeded rng."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = rng if rng is not None else np.random.default_rng()

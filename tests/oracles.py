@@ -1,14 +1,16 @@
 """Independent brute-force reference implementations used by the tests.
 
-Everything here is deliberately written with plain Python loops and no
-imports from stagemallows internals, so library bugs cannot leak into
-the expected values.
+Everything here is deliberately written with plain Python loops, or with
+plain numpy over the enumerated space, and no imports from stagemallows,
+so library bugs cannot leak into the expected values.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def naive_distance(x, y, p=0.5):
@@ -47,6 +49,20 @@ def inversion_count(x, y):
 def full_space(n, l):
     """All stage assignments in {1..l}^n, lexicographic."""
     return list(itertools.product(range(1, l + 1), repeat=n))
+
+
+def space_pair_counts(center, l):
+    """Discordant and tied-in-exactly-one pair counts against center, for
+    every point of {1..l}^n in lexicographic order, as two int64 arrays."""
+    n = len(center)
+    space = np.array(full_space(n, l), dtype=np.int64).reshape(l**n, n)
+    i, j = np.triu_indices(n, k=1)
+    c = np.asarray(center, dtype=np.int64)
+    sx = np.sign(space[:, i] - space[:, j])
+    sy = np.sign(c[i] - c[j])
+    discordant = (sx * sy < 0).sum(axis=1, dtype=np.int64)
+    tied_one = ((sx == 0) != (sy == 0)).sum(axis=1, dtype=np.int64)
+    return discordant, tied_one
 
 
 def naive_psi(center, l, spread, p=0.5):

@@ -210,8 +210,11 @@ class TestFit:
             '{"center_internal": [1, 2, 2, 3, 3], "lambda": "1.0.0"}',
             '{"center_internal": [1, 2, "two", 3, 3], "lambda": 1.0}',
             '{"center_internal": [1, 2, 2, 3, 3], "lambda": ',
+            '{"center_internal": [1, 2.9, 2, 3, 3], "lambda": 1.0}',
+            '{"center_internal": [1, 2, 2, 3, 7], "lambda": 1.0}',
         ],
-        ids=["non-numeric-lambda", "non-numeric-center", "invalid-json"],
+        ids=["non-numeric-lambda", "non-numeric-center", "invalid-json",
+             "non-integral-center", "center-outside-stages"],
     )
     def test_bad_truth_exits_two_before_the_chain(self, runner, tmp_path, monkeypatch, text):
         simulate(runner, tmp_path / "sim", seed=2)

@@ -1,17 +1,18 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from stagemallows.errors import CapacityError
 from stagemallows.mallows import (
     MallowsParams,
     PartitionCache,
-    _distance_components,
     check_guard,
     enumerate_space,
     log_pmf,
@@ -21,7 +22,7 @@ from stagemallows.mallows import (
 )
 from stagemallows.rankings import CentralRanking, StageDomain
 
-from oracles import full_space, naive_distance, naive_pmf, naive_psi
+from oracles import full_space, naive_distance, naive_pmf, naive_psi, space_pair_counts
 
 
 def params(stages, spread, l):
@@ -77,7 +78,7 @@ def brute_force_histogram(center, l):
 
 def enumerated_histogram(center, l):
     """The histogram tallied from the pair counts of every enumerated point."""
-    d_counts, e_counts = _distance_components(center, l)
+    d_counts, e_counts = space_pair_counts(center, l)
     packer = int(d_counts.max()) + int(e_counts.max()) + 2
     packed, mult = np.unique(d_counts * packer + e_counts, return_counts=True)
     return packed // packer, packed % packer, mult
@@ -335,3 +336,63 @@ class TestSample:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample(params([1], 1.0, 2), count=0)
+
+    @pytest.mark.parametrize(
+        "center,l,spread",
+        [
+            ((2, 2, 2, 2), 3, 0.7),
+            ((1, 2, 3, 4), 4, 1.3),
+            ((1, 2), 40, 1.0),
+            ((1, 2, 2), 9, 0.8),
+            ((1, 1, 3), 9, 1.5),
+            ((2, 2, 4, 5), 5, 0.9),
+            ((4, 2, 4, 3), 5, 1.1),
+        ],
+        ids=["single-bucket", "all-singletons", "n2-l40", "n3-l9", "n3-l9-reversed",
+             "gapped-reversed", "gapped"],
+    )
+    def test_chi_square_against_exact_pmf(self, center, l, spread):
+        draws = sample(params(center, spread, l), rng=np.random.default_rng(11), count=100_000)
+        assert chi_square_pvalue([r.stages for r in draws], naive_pmf(center, l, spread)) > 0.001
+
+    def test_single_stage_gives_the_only_point(self):
+        draws = sample(params([1, 1, 1], 0.5, 1), rng=np.random.default_rng(2), count=50)
+        assert {r.stages for r in draws} == {(1, 1, 1)}
+
+    def test_batched_and_single_draws_follow_one_law(self):
+        p = params([1, 2, 2, 3], 0.8, 3)
+        cache = PartitionCache()
+        batch = sample(p, cache=cache, rng=np.random.default_rng(5), count=10_000)
+        rng = np.random.default_rng(6)
+        singles = [sample(p, cache=cache, rng=rng)[0] for _ in range(10_000)]
+        a, b = Counter(r.stages for r in batch), Counter(r.stages for r in singles)
+        cells = sorted(set(a) | set(b))
+        table = np.array([[a[x] for x in cells], [b[x] for x in cells]])
+        table = table[:, table.sum(axis=0) >= 10]
+        assert stats.chi2_contingency(table).pvalue > 0.001
+
+    def test_one_large_draw_allocates_little(self):
+        # 4^10 points: an enumerating draw would allocate tens of MB here.
+        cache = PartitionCache()
+        tracemalloc.start()
+        try:
+            sample(params([1, 1, 2, 2, 2, 3, 3, 3, 4, 4], 1.0, 4), cache=cache,
+                   rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+
+def chi_square_pvalue(draws, pmf):
+    """Chi-square p-value of the draws against the pmf; the cells that expect
+    fewer than 5 draws are pooled into one."""
+    counts = Counter(draws)
+    assert set(counts) <= set(pmf)
+    observed = np.array([counts[x] for x in pmf], dtype=float)
+    expected = np.array(list(pmf.values())) * len(draws)
+    small = expected < 5
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return stats.chisquare(observed, expected * observed.sum() / expected.sum()).pvalue

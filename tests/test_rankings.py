@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stagemallows.mallows import _space_signs
 from stagemallows.rankings import (
     MISSING,
     CentralRanking,
@@ -20,7 +19,7 @@ from stagemallows.rankings import (
     ranking_pair_signs,
 )
 
-from oracles import full_space, inversion_count, naive_distance
+from oracles import inversion_count, naive_distance
 
 
 def central(*stages):
@@ -254,12 +253,3 @@ class TestPairSignKernel:
             d = kendall_tau_partial(x, y, DistanceConfig(p=p))
             assert type(d) is float
             assert d == pytest.approx(naive_distance(x.stages, y.stages, p), abs=1e-12)
-
-    @pytest.mark.parametrize("n,l", [(1, 3), (2, 1), (3, 3), (4, 2), (5, 3)])
-    def test_sign_table_matches_enumerated_space(self, n, l):
-        space = np.array(full_space(n, l))
-        i, j = np.triu_indices(n, k=1)
-        want = np.sign(space[:, i] - space[:, j]).astype(np.int8)
-        got = _space_signs(n, l)
-        assert got.dtype == np.int8
-        assert np.array_equal(got, want)
