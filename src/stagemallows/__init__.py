@@ -25,7 +25,6 @@ from .inference import (
     stage_marginals,
 )
 from .mallows import (
-    DEFAULT_ENUMERATION_GUARD,
     MallowsParams,
     PartitionCache,
     default_cache,

@@ -3,8 +3,8 @@
 Every command is deterministic given its seed, and every machine-readable
 artifact lands in files; standard output stays human-readable. Commands
 exit 0 on success, 2 on usage or format problems, 3 when a ranking space
-exceeds the enumeration guard, and 4 when the chain cannot start from a
-finite log-posterior.
+is past the capacity rule (mallows.check_capacity), and 4 when the chain
+cannot start from a finite log-posterior.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .io import (
     write_raw_dataset,
     write_trace,
 )
-from .mallows import MallowsParams, check_guard
+from .mallows import MallowsParams, check_capacity
 from .rankings import (
     MISSING,
     CentralRanking,
@@ -166,8 +166,8 @@ def _synth_config(rng, n, l, spread, center, center_random, size, missing_pct,
     """Settings of --n ... --censor-scale; a random true center comes from rng."""
     if (center is None) == (not center_random):
         raise click.UsageError("provide exactly one of --center / --center-random")
-    # Refuse a space the sampler cannot enumerate before building an n-item center.
-    check_guard(n, l)
+    # Refuse a space past capacity before building an n-item center.
+    check_capacity(n, l)
     domain = StageDomain(l)
     truth_center = (
         _uniform_center(rng, n, l) if center_random else _parse_center(center, n, l)

@@ -8,19 +8,17 @@ class StageMallowsError(Exception):
 
 
 class CapacityError(StageMallowsError):
-    """The requested ranking space exceeds the enumeration guard or byte budget."""
+    """The ranking space {1..l}^n is past the capacity rule (mallows.check_capacity)."""
 
     #: Longest l^n, in decimal digits, that the message writes out in full.
     _MAX_DIGITS = 30
 
-    def __init__(self, n: int, l: int, guard: int, reason: str | None = None):
+    def __init__(self, n: int, l: int, reason: str):
         self.n = n
         self.l = l
-        self.guard = guard
         size = f"{l}^{n}"
         if n * math.log10(max(l, 1)) < self._MAX_DIGITS:
             size += f" = {l**n}"
-        reason = reason or f"exceeds the enumeration guard of {guard}"
         super().__init__(f"ranking space has l^n = {size} points, which {reason}")
 
 

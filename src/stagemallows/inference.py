@@ -29,10 +29,9 @@ import numpy as np
 
 from .errors import InitializationError
 from .mallows import (
-    DEFAULT_ENUMERATION_GUARD,
     MallowsParams,
     PartitionCache,
-    check_guard,
+    check_capacity,
     default_cache,
     structural_class,
 )
@@ -90,10 +89,12 @@ class PriorConfig:
     pi_spread: float | None = None
 
     def __post_init__(self):
-        if not (self.lambda_scale > 0):
-            raise ValueError(f"lambda_scale must be positive, got {self.lambda_scale}")
-        if self.pi_spread is not None and not (self.pi_spread > 0):
-            raise ValueError(f"pi_spread must be positive when fixed, got {self.pi_spread}")
+        if not 0 < self.lambda_scale < math.inf:
+            raise ValueError(f"lambda_scale must be finite and positive, got {self.lambda_scale}")
+        if self.pi_spread is not None and not 0 < self.pi_spread < math.inf:
+            raise ValueError(
+                f"pi_spread must be finite and positive when fixed, got {self.pi_spread}"
+            )
 
     @cached_property
     def center_class(self) -> tuple[int, ...]:
@@ -101,14 +102,14 @@ class PriorConfig:
         return structural_class(self.center)
 
     def log_density(
-        self, prior_d: float, spread: float, l: int, p: float, cache: PartitionCache, guard: int
+        self, prior_d: float, spread: float, l: int, p: float, cache: PartitionCache
     ) -> float:
         """log p(center | spread) + log p(spread), for a center at d_p = prior_d."""
         if spread <= 0:
             return -math.inf
         pi_spread = self.pi_spread if self.pi_spread is not None else spread
         pi_term = -prior_d / pi_spread - cache.log_psi(
-            self.center.n, l, self.center_class, p, pi_spread, guard
+            self.center.n, l, self.center_class, p, pi_spread
         )
         return log_truncated_normal(spread, self.lambda_scale) + pi_term
 
@@ -203,12 +204,11 @@ class _Evaluator:
         cfg: DistanceConfig,
         cache: PartitionCache,
         normalization: str,
-        guard: int,
     ):
         if len(data) == 0:
             raise ValueError("dataset is empty")
         n = data[0].n
-        check_guard(n, domain.l, guard)
+        check_capacity(n, domain.l)
         for k, resp in enumerate(data):
             if resp.n != n:
                 raise ValueError(f"respondent {k} has {resp.n} items, expected {n}")
@@ -225,7 +225,6 @@ class _Evaluator:
         self.cfg = cfg
         self.cache = cache
         self.normalization = normalization
-        self.guard = guard
         self.prior = prior
 
         stages = np.array(
@@ -280,26 +279,20 @@ class _Evaluator:
         value = -total_d / spread
         if self.normalization == RESTRICTED:
             for (r, sub_class), count in psi_groups:
-                value -= count * self.cache.log_psi(
-                    r, self.l, sub_class, self.cfg.p, spread, self.guard
-                )
+                value -= count * self.cache.log_psi(r, self.l, sub_class, self.cfg.p, spread)
         else:
             value -= self.m * self.log_psi(center_class, spread)
         return value
 
     def log_prior(self, stats: tuple, spread: float) -> float:
-        return self.prior.log_density(
-            stats[2], spread, self.l, self.cfg.p, self.cache, self.guard
-        )
+        return self.prior.log_density(stats[2], spread, self.l, self.cfg.p, self.cache)
 
     def log_posterior(self, stats: tuple, spread: float) -> float:
         return self.log_likelihood(stats, spread) + self.log_prior(stats, spread)
 
     def log_psi(self, center_class: tuple[int, ...], spread: float) -> float:
         """log psi of the full space, for a center of the given class."""
-        return self.cache.log_psi(
-            self.n, self.l, center_class, self.cfg.p, spread, self.guard
-        )
+        return self.cache.log_psi(self.n, self.l, center_class, self.cfg.p, spread)
 
 
 def _evaluate(
@@ -309,13 +302,12 @@ def _evaluate(
     cfg: DistanceConfig,
     cache: PartitionCache | None,
     mode: str,
-    guard: int,
 ) -> tuple[_Evaluator, tuple]:
     """One evaluator over data and prior, and the statistics of params' center."""
     if mode not in (RESTRICTED, GLOBAL):
         raise ValueError(f"unknown normalization {mode!r}")
     cache = cache if cache is not None else default_cache()
-    ev = _Evaluator(data, params.domain, prior, cfg, cache, mode, guard)
+    ev = _Evaluator(data, params.domain, prior, cfg, cache, mode)
     if params.n != ev.n:
         raise ValueError(f"model has {params.n} items, data has {ev.n}")
     return ev, ev.center_stats(params.center.stages)
@@ -327,7 +319,6 @@ def log_likelihood(
     cfg: DistanceConfig = DistanceConfig(),
     cache: PartitionCache | None = None,
     mode: str = RESTRICTED,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> float:
     """Sum of per-respondent log densities under the given model.
 
@@ -335,7 +326,7 @@ def log_likelihood(
     dropped-pair distance, normalized per ``mode`` (see module docstring).
     """
     prior = PriorConfig(center=params.center)
-    ev, stats = _evaluate(data, params, prior, cfg, cache, mode, guard)
+    ev, stats = _evaluate(data, params, prior, cfg, cache, mode)
     return ev.log_likelihood(stats, params.spread)
 
 
@@ -344,7 +335,6 @@ def log_prior(
     prior: PriorConfig,
     cfg: DistanceConfig = DistanceConfig(),
     cache: PartitionCache | None = None,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> float:
     """Log of p(center | spread) p(spread) under the joint prior."""
     cache = cache if cache is not None else default_cache()
@@ -353,7 +343,7 @@ def log_prior(
             f"prior center has {prior.center.n} items, model has {params.n}"
         )
     prior_d = kendall_tau_partial(params.center, prior.center, cfg)
-    return prior.log_density(prior_d, params.spread, params.l, cfg.p, cache, guard)
+    return prior.log_density(prior_d, params.spread, params.l, cfg.p, cache)
 
 
 def log_posterior(
@@ -363,10 +353,9 @@ def log_posterior(
     cfg: DistanceConfig = DistanceConfig(),
     cache: PartitionCache | None = None,
     mode: str = RESTRICTED,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> float:
     """Unnormalized log posterior: log likelihood plus log prior."""
-    ev, stats = _evaluate(data, params, prior, cfg, cache, mode, guard)
+    ev, stats = _evaluate(data, params, prior, cfg, cache, mode)
     return ev.log_posterior(stats, params.spread)
 
 
@@ -386,7 +375,6 @@ def mcmc_fit(
     mcmc: McmcConfig = McmcConfig(),
     cfg: DistanceConfig = DistanceConfig(),
     cache: PartitionCache | None = None,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> FitResult:
     """Run the Metropolis-within-Gibbs chain and return the MAP sample.
 
@@ -401,7 +389,7 @@ def mcmc_fit(
     initial value.
     """
     cache = cache if cache is not None else default_cache()
-    ev = _Evaluator(data, domain, prior, cfg, cache, mcmc.normalization, guard)
+    ev = _Evaluator(data, domain, prior, cfg, cache, mcmc.normalization)
     rng = np.random.default_rng(mcmc.seed)
 
     start = mcmc.start_center if mcmc.start_center is not None else prior.center
@@ -437,7 +425,7 @@ def mcmc_fit(
 
     for t in range(1, mcmc.iterations + 1):
         # Center move: draw from Mallows(center, spread), exact.
-        (proposed,) = cache.draw(center, ev.l, cfg.p, spread, rng, 1, guard)
+        (proposed,) = cache.draw(center, ev.l, cfg.p, spread, rng, 1)
         stats_new = ev.center_stats(proposed)
         log_post_new = ev.log_posterior(stats_new, spread)
         log_alpha = (log_post_new - log_post) + (

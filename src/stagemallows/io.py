@@ -96,12 +96,17 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise FormatError(f"sidecar is not valid JSON: {err}") from err
+    if not isinstance(meta, dict):
+        raise FormatError("sidecar must hold a JSON object")
     for key in ("items", "l", "stage_label_offset"):
         if key not in meta:
             raise FormatError(f"sidecar is missing the {key!r} key")
-    items = ItemSet(tuple(str(v) for v in meta["items"]))
-    domain = StageDomain(int(meta["l"]))
-    offset = int(meta["stage_label_offset"])
+    try:
+        items = ItemSet(tuple(str(v) for v in meta["items"]))
+        domain = StageDomain(int(meta["l"]))
+        offset = int(meta["stage_label_offset"])
+    except (TypeError, ValueError, OverflowError) as err:
+        raise FormatError(f"sidecar has malformed items, l or stage_label_offset: {err}") from err
     provenance = str(meta.get("provenance", ""))
     item_index = {label: i for i, label in enumerate(items.labels)}
 
@@ -281,9 +286,12 @@ def read_ranking_file(path: str | Path) -> tuple[list, int]:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise FormatError(f"ranking file is not valid JSON: {err}") from err
-    if not isinstance(payload, dict) or "stages" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("stages"), list):
         raise FormatError('ranking file must be an object with a "stages" array')
-    offset = int(payload.get("stage_label_offset", 1))
+    try:
+        offset = int(payload.get("stage_label_offset", 1))
+    except (TypeError, ValueError, OverflowError) as err:
+        raise FormatError(f"ranking file has a malformed stage_label_offset: {err}") from err
     stages = []
     for k, value in enumerate(payload["stages"]):
         if value is None:
@@ -291,7 +299,7 @@ def read_ranking_file(path: str | Path) -> tuple[list, int]:
         else:
             try:
                 stages.append(int(value) - offset + 1)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise FormatError(f"stage entry {k} is not an integer or null")
     if not stages:
         raise FormatError("ranking file has no stages")

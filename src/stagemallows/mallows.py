@@ -11,8 +11,8 @@ which places the center's buckets in stage order and tracks how many
 items sit at each stage. psi comes from the histogram of (discordant,
 tied-in-one) pair counts it builds; the sampler runs it backward at the
 requested spread and samples forward through it. Neither touches the l^n
-points. Both sit behind the capacity guard, whose limits are still
-those of enumerating the space.
+points. Both sit behind one capacity rule (check_capacity), which bounds
+the program's own tables and keeps its integer counts exact.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ from .rankings import (
     kendall_tau_partial,
 )
 
-#: Largest l^n any operation accepts before failing loudly.
-DEFAULT_ENUMERATION_GUARD = 2**24
-
-#: Largest number of bytes enumerating a space may take (see check_guard).
-ENUMERATION_BYTE_BUDGET = 2**31
+#: Largest peak, in bytes, that check_capacity lets a space's program take.
+CAPACITY_BYTE_BUDGET = 2**31
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -70,33 +67,32 @@ class MallowsParams:
         return self.domain.l
 
 
-def check_guard(n: int, l: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> int:
-    """Return l**n, or raise CapacityError past the guard or the byte budget.
+def check_capacity(n: int, l: int) -> int:
+    """Return the estimated peak bytes for {1..l}^n, or refuse the space.
 
-    The estimate is of the peak bytes of enumerating the space, from
-    above: per point and item pair, an int8 sign table and three
-    table-sized temporaries of a distance scan; per point, 48 bytes of
-    count, distance and CDF vectors; per pair, the n-by-n mask and the two
-    int64 arrays that list the pairs. No code path enumerates any more
-    (the histograms and the draw run the stage-count program), but the
-    guard and its byte estimate are kept unchanged until they are
-    redefined over the program's states.
+    A space is refused (CapacityError) when l^n reaches 2^63, because every
+    multiplicity and count sum of the stage-count program is at most l^n
+    and int64 holds it exactly only below that; or when the estimate
+    exceeds CAPACITY_BYTE_BUDGET. With k = min(l, n) stages in the program
+    and P = C(n, 2) item pairs, the histogram's largest (state, d, e) table
+    has at most C(n+k-1, k-1) * (P+1)^2 int64 cells; the estimate is four
+    such tables (the table, the one before it and two scatter temporaries),
+    plus 20 bytes per pair of pair lists and the n-by-l float64 marginals.
+    n < 1 or l < 1 is not a space (ValueError).
     """
-    # Past the guard's bit length, l^n > guard whenever l > 1; refuse such
-    # spaces before forming l**n, which at n in the millions is a huge integer.
-    if (n > 0 and l > guard) or (l > 1 and n >= guard.bit_length()):
-        raise CapacityError(n, l, guard)
-    size = l**n
-    if size > guard:
-        raise CapacityError(n, l, guard)
-    pairs = n * (n - 1) // 2
-    needed = size * (4 * pairs + 48) + 20 * pairs
-    if needed > ENUMERATION_BYTE_BUDGET:
-        raise CapacityError(n, l, guard, (
-            f"needs about {needed} bytes to enumerate, "
-            f"over the budget of {ENUMERATION_BYTE_BUDGET}"
+    if n < 1 or l < 1:
+        raise ValueError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
+    # Decide from the logarithm first, so l**n is only formed when small.
+    if n * math.log2(l) >= 64 or l**n >= 2**63:
+        raise CapacityError(n, l, "reaches 2^63, past which int64 counts are not exact")
+    k, pairs = min(l, n), n * (n - 1) // 2
+    needed = 32 * math.comb(n + k - 1, k - 1) * (pairs + 1) ** 2 + 20 * pairs + 8 * n * l
+    if needed > CAPACITY_BYTE_BUDGET:
+        raise CapacityError(n, l, (
+            f"needs about {needed} bytes for the stage-count program, "
+            f"over the budget of {CAPACITY_BYTE_BUDGET}"
         ))
-    return size
+    return needed
 
 
 def structural_class(center: CentralRanking | Sequence[int]) -> tuple[int, ...]:
@@ -115,13 +111,10 @@ def structural_class(center: CentralRanking | Sequence[int]) -> tuple[int, ...]:
     return min(ordered, ordered[::-1])
 
 
-def enumerate_space(
-    n: int, l: int, guard: int = DEFAULT_ENUMERATION_GUARD
-) -> Iterator[CentralRanking]:
+def enumerate_space(n: int, l: int) -> Iterator[CentralRanking]:
     """Yield every assignment in {1..l}^n, in lexicographic order."""
     if n < 1 or l < 1:
         raise ValueError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
-    check_guard(n, l, guard)
     for stages in itertools.product(range(1, l + 1), repeat=n):
         yield CentralRanking(stages)
 
@@ -284,7 +277,7 @@ class PartitionCache:
         self._log_psi: "OrderedDict[tuple, float]" = OrderedDict()
 
     def _draw_tables(
-        self, n: int, l: int, p: float, class_key: tuple[int, ...], spread: float, guard: int
+        self, n: int, l: int, p: float, class_key: tuple[int, ...], spread: float
     ) -> tuple[tuple[_Step, ...], np.ndarray, list[np.ndarray]]:
         """The class's program, its final states, and per bucket the table
         that the draw picks compositions from at this spread.
@@ -304,7 +297,7 @@ class PartitionCache:
         with self._lock:
             entry = self._draw_terms.get(key)
         if entry is None:
-            check_guard(n, l, guard)
+            check_capacity(n, l)
             steps, final_states = _stage_steps(class_key, min(l, n))
             finish = np.ones(len(final_states))
             if l > n:
@@ -340,7 +333,7 @@ class PartitionCache:
 
     def draw(
         self, center: tuple[int, ...], l: int, p: float, spread: float,
-        rng: np.random.Generator, count: int, guard: int = DEFAULT_ENUMERATION_GUARD,
+        rng: np.random.Generator, count: int,
     ) -> list[tuple[int, ...]]:
         """Exact i.i.d. draws from Mallows(center, spread) over {1..l}^n.
 
@@ -357,7 +350,7 @@ class PartitionCache:
         """
         n = len(center)
         class_key, flip, bucket = _center_buckets(center)
-        steps, final_states, tables = self._draw_tables(n, l, p, class_key, spread, guard)
+        steps, final_states, tables = self._draw_tables(n, l, p, class_key, spread)
         state = np.zeros(count, dtype=np.intp)
         placed = []
         for step, table, u in zip(steps, tables, rng.random((len(steps), count))):
@@ -382,7 +375,7 @@ class PartitionCache:
         return [tuple(row) for row in x.tolist()]
 
     def histogram(
-        self, n: int, l: int, class_key: tuple[int, ...], guard: int = DEFAULT_ENUMERATION_GUARD
+        self, n: int, l: int, class_key: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(discordant counts, tied-one counts, multiplicities) over the space."""
         key = (n, l, class_key)
@@ -390,7 +383,7 @@ class PartitionCache:
             hit = self._histograms.get(key)
         if hit is not None:
             return hit
-        check_guard(n, l, guard)
+        check_capacity(n, l)
         entry = _stage_count_histogram(class_key, l)
         with self._lock:
             self._histograms[key] = entry
@@ -403,7 +396,6 @@ class PartitionCache:
         class_key: tuple[int, ...],
         p: float,
         spread: float,
-        guard: int = DEFAULT_ENUMERATION_GUARD,
     ) -> float:
         key = (n, l, p, class_key, spread)
         with self._lock:
@@ -411,7 +403,7 @@ class PartitionCache:
             if hit is not None:
                 self._log_psi.move_to_end(key)
                 return hit
-        histogram = self.histogram(n, l, class_key, guard)
+        histogram = self.histogram(n, l, class_key)
         terms_key = (n, l, p, class_key)
         with self._lock:
             terms = self._psi_terms.get(terms_key)
@@ -446,11 +438,10 @@ def log_partition_function(
     params: MallowsParams,
     cfg: DistanceConfig = DistanceConfig(),
     cache: PartitionCache | None = None,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> float:
     cache = cache if cache is not None else _DEFAULT_CACHE
     return cache.log_psi(
-        params.n, params.l, structural_class(params.center), cfg.p, params.spread, guard
+        params.n, params.l, structural_class(params.center), cfg.p, params.spread
     )
 
 
@@ -458,14 +449,13 @@ def partition_function(
     params: MallowsParams,
     cfg: DistanceConfig = DistanceConfig(),
     cache: PartitionCache | None = None,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> float:
     """psi(spread) = sum over {1..l}^n of exp(-d_p(x, center) / spread).
 
     psi always lies in [1, l^n], so returning it in natural scale is safe;
     the summation itself happens in log space.
     """
-    return math.exp(log_partition_function(params, cfg, cache, guard))
+    return math.exp(log_partition_function(params, cfg, cache))
 
 
 def log_pmf(
@@ -473,12 +463,11 @@ def log_pmf(
     params: MallowsParams,
     cfg: DistanceConfig = DistanceConfig(),
     cache: PartitionCache | None = None,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> float:
     """Log-probability of a complete ranking under the model.
 
     Computed as -d_p(x, center)/spread - log psi so the pmf sums to one
-    over the enumerated space.
+    over the space.
     """
     if x.n != params.n:
         raise ValueError(f"ranking has {x.n} items, center has {params.n}")
@@ -486,7 +475,7 @@ def log_pmf(
         raise ValueError("log_pmf needs a complete ranking (no missing entries)")
     x.check_domain(params.domain)
     d = kendall_tau_partial(x, params.center, cfg)
-    return -d / params.spread - log_partition_function(params, cfg, cache, guard)
+    return -d / params.spread - log_partition_function(params, cfg, cache)
 
 
 def sample(
@@ -495,7 +484,6 @@ def sample(
     cache: PartitionCache | None = None,
     rng: np.random.Generator | None = None,
     count: int = 1,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> list[CentralRanking]:
     """Draw exact i.i.d. samples through the stage-count program (see
     PartitionCache.draw); reproducible from a seeded rng."""
@@ -503,7 +491,5 @@ def sample(
         raise ValueError(f"count must be >= 1, got {count}")
     rng = rng if rng is not None else np.random.default_rng()
     cache = cache if cache is not None else _DEFAULT_CACHE
-    draws = cache.draw(
-        params.center.stages, params.l, cfg.p, params.spread, rng, count, guard
-    )
+    draws = cache.draw(params.center.stages, params.l, cfg.p, params.spread, rng, count)
     return [CentralRanking(stages) for stages in draws]

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mallows import (
-    DEFAULT_ENUMERATION_GUARD,
-    MallowsParams,
-    PartitionCache,
-    sample,
-)
+from .mallows import MallowsParams, PartitionCache, sample
 from .rankings import MISSING, DistanceConfig, PartialRanking
 
 
@@ -75,7 +70,6 @@ def generate(
     cfg: SynthConfig,
     dist_cfg: DistanceConfig = DistanceConfig(),
     cache: PartitionCache | None = None,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> tuple[list[PartialRanking], MallowsParams]:
     """Draw a dataset from the ground truth and censor part of it.
 
@@ -84,9 +78,7 @@ def generate(
     generating parameters.
     """
     rng = np.random.default_rng(cfg.seed)
-    complete = sample(
-        cfg.truth, dist_cfg, cache, rng=rng, count=cfg.size, guard=guard
-    )
+    complete = sample(cfg.truth, dist_cfg, cache, rng=rng, count=cfg.size)
     responses: list[PartialRanking] = [r.as_partial() for r in complete]
 
     n_censored = _round_half_up(cfg.missing_percent * cfg.size / 100.0)

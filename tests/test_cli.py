@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagemallows.cli import cli
 from stagemallows.io import demo_dataset_path, read_dataset, read_trace, write_ranking_file
@@ -92,7 +96,7 @@ class TestSimulate:
         assert "Traceback" not in result.output
         assert f"4^{n} points" in result.output
 
-    @pytest.mark.parametrize("n,l", [("12", "4"), ("20000", "1")])
+    @pytest.mark.parametrize("n,l", [("10", "10"), ("20000", "1")])
     def test_byte_budget_exit_code(self, runner, tmp_path, n, l):
         result = runner.invoke(
             cli,
@@ -101,6 +105,17 @@ class TestSimulate:
         )
         assert result.exit_code == 3
         assert "bytes" in result.output
+
+    def test_exact_count_limit_exit_code(self, runner, tmp_path):
+        # 200^9 is past 2^63, where the program's int64 counts would wrap.
+        result = runner.invoke(
+            cli,
+            ["simulate", "--n", "9", "--l", "200", "--lambda", "1",
+             "--center-random", "--M", "5", "--out", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 3, result.output
+        assert "Traceback" not in result.output
+        assert "2^63" in result.output
 
     def test_missing_required_flag_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(cli, ["simulate", "--n", "3"])
@@ -129,6 +144,13 @@ class TestFit:
         assert "lambda_abs_error" in report["evaluation"]
         for name in ("report.json", "trace.ndjson", "heatmap.svg", "manifest.json"):
             assert (tmp_path / "fit" / name).exists()
+
+    def test_twelve_items_over_four_stages(self, runner, tmp_path):
+        # 4^12 points: past what enumeration could hold, well within the program.
+        run_ok(runner, ["simulate", "--n", "12", "--l", "4", "--lambda", "1",
+                        "--center-random", "--M", "5", "--out", str(tmp_path / "sim")])
+        run_ok(runner, self.fit_args(tmp_path / "sim" / "dataset.csv", tmp_path / "fit",
+                                     ["--iterations", "30", "--burn-in", "10"]))
 
     def test_retained_sample_count(self, runner, tmp_path):
         simulate(runner, tmp_path / "sim", seed=4, missing="0")
@@ -325,20 +347,25 @@ _FIT = [
          "--center", "1,2,9"],
         ["simulate", "--n", "0", "--l", "3", "--lambda", "1", "--M", "5",
          "--center-random"],
+        ["simulate", "--n", "-1", "--l", "3", "--lambda", "1", "--M", "5",
+         "--center-random"],
         _SIMULATE + ["--center-random", "--missing-pct", "50", "--censor-scale", "inf"],
         _SIMULATE + ["--center-random", "--missing-pct", "50",
                      "--censor-location-factor", "nan"],
         _FIT + ["--lambda-init", "inf"],
         _FIT + ["--proposal-scale", "nan"],
+        _FIT + ["--prior-spread", "inf"],
     ],
     ids=[
         "min-response-rate-above-one",
         "center-outside-stages",
         "zero-items",
+        "negative-items",
         "infinite-censor-scale",
         "nan-censor-location",
         "infinite-lambda-init",
         "nan-proposal-scale",
+        "infinite-prior-spread",
     ],
 )
 def test_invalid_input_exits_two_without_traceback(runner, tmp_path, args):
@@ -347,3 +374,82 @@ def test_invalid_input_exits_two_without_traceback(runner, tmp_path, args):
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
     assert "Error" in result.output or "error" in result.output
+
+
+# Each fuzz example starts from a valid command and breaks up to three of
+# its inputs: a flag set to a boundary value, or a malformed file.
+_BOUNDARIES = ["0", "-1", "nan", "inf", "-inf", str(2**64), "x"]
+_SIMULATE_FLAGS = {
+    "--n": ["4", "40", "129", "1000000000000"],
+    "--l": ["3", "1", "2", "1000000", "1000000000000"],
+    "--M": ["4", "1"],
+    "--lambda": ["1", "1e-300", "1e300"],
+    "--p": ["0.5", "1"],
+    "--missing-pct": ["50", "0", "100", "101"],
+}
+
+
+def assert_clean_exit(result):
+    assert result.exit_code in {0, 2, 3, 4}, (result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@given(st.lists(st.sampled_from([
+    (flag, value) for flag, values in _SIMULATE_FLAGS.items() for value in values + _BOUNDARIES
+]), max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_simulate_flags_never_crash(changes):
+    flags = {flag: values[0] for flag, values in _SIMULATE_FLAGS.items()} | dict(changes)
+    with tempfile.TemporaryDirectory() as out:
+        result = CliRunner().invoke(cli, ["simulate", "--center-random", "--out", out,
+                                          *(arg for pair in flags.items() for arg in pair)])
+    assert_clean_exit(result)
+
+
+_SIDECAR = {"items": ["a", "b", "c"], "l": 2, "stage_label_offset": 1}
+_FIT_INPUTS = {
+    "csv": ["respondent_id,item,stage\nR1,a,1\nR1,b,2\nR2,a,2\nR2,c,\nR2,b,1\nR3,c,2\n",
+            "", "\udcff\udcfe not utf-8", "respondent_id,item\nR1,a\n",
+            "respondent_id,item,stage\nR1,a\n", "respondent_id,item,stage\nR1,z,1\n",
+            "respondent_id,item,stage\nR1,a,x\n", "respondent_id,item,stage\nR1,a,9\n",
+            "respondent_id,item,stage\nR1,a,1\nR1,a,2\n", "respondent_id,item,stage\nR1,a,\n",
+            "respondent_id,item,stage\nR1,a,1e400\n", "respondent_id,item,stage\nR1,a,1\x00\n"],
+    "sidecar": [json.dumps({**_SIDECAR, key: value}) for key, value in [
+        ("l", 2), ("items", 3), ("items", []), ("items", ["a", "a", "b"]), ("l", "x"),
+        ("l", 0), ("l", -2), ("l", [2]), ("l", None), ("l", 10**30),
+        ("stage_label_offset", "x"), ("stage_label_offset", [1]),
+        ("stage_label_offset", 10**30),
+    ]] + ["{", "[]", "3", "null", '{"items": ["a", "b", "c"]}',
+          '{"items": ["a", "b", "c"], "l": 1e400, "stage_label_offset": 1}'],
+    "prior": ['{"stages": [1, 2, 1]}', "{", "[1, 2, 1]", '{"stages": 3}',
+              '{"stages": "ab"}', '{"stages": [1, null, 2]}', '{"stages": [1, "x", 2]}',
+              '{"stages": [1, 2]}', '{"stages": []}', '{"stages": [1, 9, 2]}',
+              '{"stages": [1e400, 2, 1]}', '{"stages": [{"a": 1}, 2, 1]}',
+              '{"stages": [1, 2, 1], "stage_label_offset": "x"}',
+              '{"stages": [1, 2, 1], "stage_label_offset": [1]}',
+              '{"stages": [1, 2, 1], "stage_label_offset": 1e400}'],
+    "--lambda-init": ["1", "1e-300", "1e300"] + _BOUNDARIES,
+    "--p": ["0.5", "1"] + _BOUNDARIES,
+    "--prior-spread": ["1", "1e-300"] + _BOUNDARIES,
+}
+
+
+@given(st.lists(st.sampled_from([
+    (name, value) for name, values in _FIT_INPUTS.items() for value in values
+]), max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_fit_inputs_never_crash(changes):
+    inputs = {name: values[0] for name, values in _FIT_INPUTS.items()} | dict(changes)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "data.csv").write_text(inputs.pop("csv"), encoding="utf-8",
+                                      errors="surrogateescape")
+        (tmp / "data.meta.json").write_text(inputs.pop("sidecar"), encoding="utf-8")
+        (tmp / "prior.json").write_text(inputs.pop("prior"), encoding="utf-8")
+        result = CliRunner().invoke(cli, [
+            "fit", "--data", str(tmp / "data.csv"), "--prior-center", str(tmp / "prior.json"),
+            "--iterations", "4", "--burn-in", "2", "--out-dir", str(tmp / "out"),
+            *(arg for pair in inputs.items() for arg in pair),
+        ])
+    assert_clean_exit(result)

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from stagemallows import mallows
 from stagemallows.errors import CapacityError
 from stagemallows.mallows import (
+    CAPACITY_BYTE_BUDGET,
     MallowsParams,
     PartitionCache,
-    check_guard,
+    check_capacity,
     enumerate_space,
     log_pmf,
     partition_function,
@@ -43,23 +45,50 @@ class TestEnumerateSpace:
         assert out == sorted(out)
         assert len(set(out)) == len(out) == 27
 
-    def test_guard(self):
-        with pytest.raises(CapacityError) as err:
-            list(enumerate_space(8, 4, guard=1000))
-        assert "65536" in str(err.value)
-        assert "1000" in str(err.value)
-
 
 class TestByteGuard:
-    # Only the guard's arithmetic runs here; no table is ever allocated.
-    @pytest.mark.parametrize("n,l", [(12, 4), (20000, 1)])
+    # Only the rule's arithmetic runs here; no table is allocated.
+    @pytest.mark.parametrize("n,l", [(10, 10), (30, 4), (20000, 1)])
     def test_refuses_spaces_beyond_the_byte_budget(self, n, l):
         with pytest.raises(CapacityError, match="bytes"):
-            check_guard(n, l)
+            check_capacity(n, l)
 
-    @pytest.mark.parametrize("n,l", [(11, 4), (10, 4), (8, 4), (6, 3), (1, 2), (2, 1)])
+    # 2^21 cubed is exactly 2^63; 200^9 is about 5.1e20.
+    @pytest.mark.parametrize("n,l", [(3, 2**21), (63, 2), (9, 200), (8000, 4)])
+    def test_refuses_spaces_whose_counts_reach_2_to_63(self, n, l):
+        with pytest.raises(CapacityError, match=r"2\^63"):
+            check_capacity(n, l)
+
+    @pytest.mark.parametrize("n,l", [(16, 4), (12, 4), (11, 4), (10, 4), (8, 8), (8, 4),
+                                     (6, 3), (1, 2), (2, 1), (4, 2**15), (3, 2**21 - 1)])
     def test_accepts_sizes_in_use(self, n, l):
-        assert check_guard(n, l) == l**n
+        assert check_capacity(n, l) <= CAPACITY_BYTE_BUDGET
+
+    @pytest.mark.parametrize("n,l", [(0, 3), (-1, 3), (3, 0)])
+    def test_empty_spaces_are_not_spaces(self, n, l):
+        with pytest.raises(ValueError):
+            check_capacity(n, l)
+
+    @pytest.mark.parametrize("n,l", [(8, 4), (10, 4), (6, 9)])
+    def test_estimate_bounds_the_measured_peak(self, n, l):
+        classes = {
+            structural_class(bucket_center(sizes))
+            for k in range(1, min(l, n) + 1)
+            for sizes in itertools.product(range(1, n + 1), repeat=k)
+            if sum(sizes) == n
+        }
+        estimate = check_capacity(n, l)
+        for class_key in sorted(classes):
+            # A fresh build: no cached program or compositions to reuse.
+            mallows._stage_steps.cache_clear()
+            mallows._compositions.cache_clear()
+            tracemalloc.start()
+            try:
+                PartitionCache().histogram(n, l, class_key)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= estimate, class_key
 
 
 def bucket_center(sizes):
@@ -135,6 +164,10 @@ class TestHistogram:
         assert list(zip(d.tolist(), e.tolist(), mult.tolist())) == [
             (0, 0, 4096 * 4095 // 2), (0, 1, 4096), (1, 0, 4096 * 4095 // 2)
         ]
+        # (2^15)^4 = 2^60 points, near the 2^63 limit of exact int64 counts.
+        d, e, mult = PartitionCache().histogram(4, 2**15, (1, 1, 1, 1))
+        assert (mult > 0).all()
+        assert int(mult.sum()) == 2**60
 
 
 class TestStructuralClass:
@@ -189,9 +222,9 @@ class TestPartitionFunction:
             with pytest.raises(ValueError):
                 params([1, 2], bad, 2)
 
-    def test_guard_propagates(self):
+    def test_capacity_error_propagates(self):
         with pytest.raises(CapacityError):
-            partition_function(params([1] * 8, 1.0, 4), cache=PartitionCache(), guard=100)
+            partition_function(params([1] * 30, 1.0, 4), cache=PartitionCache())
 
 
 class TestPartitionCache:
