@@ -10,8 +10,6 @@ data generator with right censoring, and dataset / report serialization.
 
 from .errors import CapacityError, FormatError, InitializationError, StageMallowsError
 from .inference import (
-    GLOBAL,
-    RESTRICTED,
     FitResult,
     McmcConfig,
     McmcTrace,
@@ -28,7 +26,6 @@ from .mallows import (
     MallowsParams,
     PartitionCache,
     default_cache,
-    enumerate_space,
     log_partition_function,
     log_pmf,
     partition_function,

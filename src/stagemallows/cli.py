@@ -20,13 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CapacityError, FormatError, InitializationError
-from .inference import (
-    GLOBAL,
-    RESTRICTED,
-    McmcConfig,
-    PriorConfig,
-    mcmc_fit,
-)
+from .inference import McmcConfig, PriorConfig, mcmc_fit
 from .io import (
     QuestionnaireDataset,
     filter_items,
@@ -188,15 +182,13 @@ _chain_options = _option_group(
     click.option("--proposal-scale", type=float, default=0.1, show_default=True),
     click.option("--prior-spread", type=float, default=None,
                  help="Fix the center prior's spread (default: couple to lambda)."),
-    click.option("--normalization", type=click.Choice([RESTRICTED, GLOBAL]),
-                 default=RESTRICTED, show_default=True),
 )
 
 
 def _chain_config(iterations, burn_in, thinning, proposal_scale, prior_spread,
-                  normalization, prior_center, lambda_init, seed, start
+                  prior_center, lambda_init, seed, start
                   ) -> tuple[McmcConfig, PriorConfig]:
-    """The chain and prior settings of --iterations ... --normalization."""
+    """The chain and prior settings of --iterations ... --prior-spread."""
     mcmc = McmcConfig(
         iterations=iterations,
         burn_in=burn_in,
@@ -204,7 +196,6 @@ def _chain_config(iterations, burn_in, thinning, proposal_scale, prior_spread,
         lambda_init=lambda_init,
         lambda_proposal_scale=proposal_scale,
         seed=seed,
-        normalization=normalization,
         start_center=start,
     )
     return mcmc, PriorConfig(center=prior_center, pi_spread=prior_spread)
@@ -367,7 +358,7 @@ def _evaluation_block(
 @click.option("--out-dir", type=click.Path(path_type=Path), required=True)
 @_mapped_errors
 def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
-            proposal_scale, prior_spread, init_center, normalization,
+            proposal_scale, prior_spread, init_center,
             min_response_rate, p, seed, out_dir):
     """Fit the model to a dataset and write report, trace, and heatmap."""
     cfg = DistanceConfig(p=p)
@@ -385,7 +376,7 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
     )
     chain_seed = _sub_seed(rng)
     mcmc, prior = _chain_config(iterations, burn_in, thinning, proposal_scale,
-                                prior_spread, normalization, prior_center_ranking,
+                                prior_spread, prior_center_ranking,
                                 lambda_init, chain_seed, start)
     result = mcmc_fit(ds.rankings(), ds.stage_domain, prior, mcmc, cfg)
 
@@ -395,8 +386,7 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
         config={
             "iterations": iterations, "burn_in": burn_in, "thinning": thinning,
             "lambda_init": lambda_init, "proposal_scale": proposal_scale,
-            "prior_spread": prior_spread, "init_center": init_center,
-            "normalization": normalization, "p": p,
+            "prior_spread": prior_spread, "init_center": init_center, "p": p,
             "min_response_rate": min_response_rate,
             "prior_center": list(prior_center_ranking.stages),
             "start_center": list(start.stages) if start is not None else None,
@@ -454,7 +444,7 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
 @_mapped_errors
 def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
              censor_location_factor, censor_scale, iterations, burn_in, thinning,
-             proposal_scale, prior_spread, normalization, prior_center, p, seed, out):
+             proposal_scale, prior_spread, prior_center, p, seed, out):
     """Repeat simulate-then-fit and tabulate recovery error.
 
     Each repeat draws a fresh dataset, starts the chain from a uniformly
@@ -481,7 +471,7 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
             truth_center if prior_center == "truth" else _uniform_center(rng, n, l)
         )
         mcmc, prior = _chain_config(iterations, burn_in, thinning, proposal_scale,
-                                    prior_spread, normalization, prior_ranking,
+                                    prior_spread, prior_ranking,
                                     lambda_init, chain_seed, start)
         result = mcmc_fit(data, synth_cfg.truth.domain, prior, mcmc, cfg)
 
@@ -508,7 +498,7 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
             "censor_scale": censor_scale,
             "iterations": iterations, "burn_in": burn_in, "thinning": thinning,
             "proposal_scale": proposal_scale, "prior_spread": prior_spread,
-            "normalization": normalization, "prior_center": prior_center, "p": p,
+            "prior_center": prior_center, "p": p,
         },
         outputs={"table": "eval.csv"},
     )

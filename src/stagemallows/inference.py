@@ -6,23 +6,20 @@ prior on the center. Fitting runs a Metropolis-within-Gibbs chain that
 alternates a Mallows-proposal move on the center with a truncated-normal
 random walk on the spread, and reports the maximum-a-posteriori sample.
 
-Two likelihood normalizations are available for censored respondents:
-
-* ``"restricted"`` (default): each respondent's term is normalized over
-  the subspace of assignments to their observed items, giving a proper
-  likelihood for what was actually observable.
-* ``"global"``: the dropped-pair distance is combined with the full-space
-  partition function.
-
-The two coincide exactly when no entries are missing.
+A censored respondent's likelihood is restricted to what they ranked:
+their term is the Mallows density of their observed items, normalized
+over the assignments of those items alone, so it is a proper likelihood
+for what was observable. Every such normalizer is a row over the distance
+grid of n items (mallows.log_psi_rows), so the likelihood at a spread is
+one vector of weights over that grid and one small matrix product.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,8 +28,12 @@ from .errors import InitializationError
 from .mallows import (
     MallowsParams,
     PartitionCache,
+    center_buckets,
     check_capacity,
+    class_of_sizes,
     default_cache,
+    distance_grid,
+    log_psi_rows,
     structural_class,
 )
 from .rankings import (
@@ -47,9 +48,6 @@ from .rankings import (
 )
 
 logger = logging.getLogger(__name__)
-
-RESTRICTED = "restricted"
-GLOBAL = "global"
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -96,11 +94,6 @@ class PriorConfig:
                 f"pi_spread must be finite and positive when fixed, got {self.pi_spread}"
             )
 
-    @cached_property
-    def center_class(self) -> tuple[int, ...]:
-        """Structural class of the prior center, which keys its log psi."""
-        return structural_class(self.center)
-
     def log_density(
         self, prior_d: float, spread: float, l: int, p: float, cache: PartitionCache
     ) -> float:
@@ -109,7 +102,7 @@ class PriorConfig:
             return -math.inf
         pi_spread = self.pi_spread if self.pi_spread is not None else spread
         pi_term = -prior_d / pi_spread - cache.log_psi(
-            self.center.n, l, self.center_class, p, pi_spread
+            self.center.n, l, structural_class(self.center), p, pi_spread
         )
         return log_truncated_normal(spread, self.lambda_scale) + pi_term
 
@@ -124,7 +117,6 @@ class McmcConfig:
     lambda_init: float = 1.0
     lambda_proposal_scale: float = 0.1
     seed: int = 0
-    normalization: str = RESTRICTED
     start_center: CentralRanking | None = None
 
     def __post_init__(self):
@@ -142,8 +134,6 @@ class McmcConfig:
             raise ValueError(
                 f"lambda_proposal_scale must be finite and >= 0, got {self.lambda_proposal_scale}"
             )
-        if self.normalization not in (RESTRICTED, GLOBAL):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
 
     @property
     def retained(self) -> int:
@@ -193,7 +183,9 @@ class _Evaluator:
     distance to the data, the partition classes of its restrictions to each
     observed-item set, and its distance to the prior center. All of these
     are independent of the spread, so caching them per center makes spread
-    moves nearly free.
+    moves nearly free. Each partition class met, of the restrictions and of
+    the full center, is one row of a matrix over the distance grid of n
+    items; a center keeps only the indices of its rows.
     """
 
     def __init__(
@@ -203,7 +195,6 @@ class _Evaluator:
         prior: PriorConfig,
         cfg: DistanceConfig,
         cache: PartitionCache,
-        normalization: str,
     ):
         if len(data) == 0:
             raise ValueError("dataset is empty")
@@ -221,10 +212,8 @@ class _Evaluator:
 
         self.n = n
         self.l = domain.l
-        self.m = len(data)
         self.cfg = cfg
         self.cache = cache
-        self.normalization = normalization
         self.prior = prior
 
         stages = np.array(
@@ -238,20 +227,31 @@ class _Evaluator:
         self._prior_signs = ranking_pair_signs(np.asarray(prior.center.stages))
 
         # Respondents sharing an observed-item set share their restricted
-        # partition class, so group them once.
-        groups: dict[tuple[int, ...], int] = {}
-        for resp in data:
-            key = resp.observed_indices
-            groups[key] = groups.get(key, 0) + 1
-        self._observed_groups = [
-            (np.asarray(key, dtype=np.int64), count) for key, count in groups.items()
-        ]
+        # partition class, so group them once: one 0/1 row of items each,
+        # in order of first appearance.
+        groups = Counter(map(tuple, mask.tolist()))
+        self._group_items = np.array(list(groups), dtype=np.int64)
+        self._group_counts = np.array(list(groups.values()), dtype=np.float64)
 
+        self.grid = distance_grid(n, cfg.p)
+        self._rows = np.empty((0, len(self.grid)))
+        self._row_of: dict[tuple[int, ...], int] = {}
         self._center_stats: dict[tuple[int, ...], tuple] = {}
+
+    def _row(self, class_key: tuple[int, ...]) -> int:
+        """The index of the class's row, added on first use."""
+        index = self._row_of.get(class_key)
+        if index is None:
+            row = self.cache.row(self.n, self.l, class_key, self.cfg.p)
+            self._rows = np.vstack([self._rows, row])
+            index = self._row_of[class_key] = len(self._rows) - 1
+        return index
 
     # -- per-center statistics -------------------------------------------
 
     def center_stats(self, center: tuple[int, ...]) -> tuple:
+        """(summed data distance, each group's row index, distance to the
+        prior center, row index of the center's class)."""
         hit = self._center_stats.get(center)
         if hit is not None:
             return hit
@@ -260,39 +260,33 @@ class _Evaluator:
         discordant, tied_one = pair_counts(self._data_signs, signs, self._pair_valid)
         total_d = float(discordant.sum() + self.cfg.p * tied_one.sum())
 
-        psi_groups: dict[tuple[int, tuple[int, ...]], int] = {}
-        for indices, count in self._observed_groups:
-            sub_class = structural_class(arr[indices])
-            key = (len(indices), sub_class)
-            psi_groups[key] = psi_groups.get(key, 0) + count
+        # How many of each group's observed items sit in each of the center's
+        # buckets: the bucket sizes of its restriction, in order or reversed.
+        class_key, _, bucket = center_buckets(center)
+        sizes = self._group_items @ (bucket[:, np.newaxis] == np.arange(len(class_key)))
+        rows = np.array([self._row(class_of_sizes(group)) for group in sizes.tolist()])
 
         discordant, tied_one = pair_counts(signs, self._prior_signs)
         prior_d = int(discordant) + self.cfg.p * int(tied_one)
-        stats = (total_d, tuple(psi_groups.items()), prior_d, structural_class(center))
+        stats = (total_d, rows, prior_d, self._row(class_key))
         self._center_stats[center] = stats
         return stats
 
     # -- posterior pieces --------------------------------------------------
 
+    def log_psi(self, rows, spread: float) -> np.ndarray:
+        """log psi(spread) of the given rows."""
+        return log_psi_rows(self._rows[rows], self.grid, spread)
+
     def log_likelihood(self, stats: tuple, spread: float) -> float:
-        total_d, psi_groups, _, center_class = stats
-        value = -total_d / spread
-        if self.normalization == RESTRICTED:
-            for (r, sub_class), count in psi_groups:
-                value -= count * self.cache.log_psi(r, self.l, sub_class, self.cfg.p, spread)
-        else:
-            value -= self.m * self.log_psi(center_class, spread)
-        return value
+        total_d, rows, _, _ = stats
+        return float(-total_d / spread - self._group_counts @ self.log_psi(rows, spread))
 
     def log_prior(self, stats: tuple, spread: float) -> float:
         return self.prior.log_density(stats[2], spread, self.l, self.cfg.p, self.cache)
 
     def log_posterior(self, stats: tuple, spread: float) -> float:
         return self.log_likelihood(stats, spread) + self.log_prior(stats, spread)
-
-    def log_psi(self, center_class: tuple[int, ...], spread: float) -> float:
-        """log psi of the full space, for a center of the given class."""
-        return self.cache.log_psi(self.n, self.l, center_class, self.cfg.p, spread)
 
 
 def _evaluate(
@@ -301,13 +295,10 @@ def _evaluate(
     prior: PriorConfig,
     cfg: DistanceConfig,
     cache: PartitionCache | None,
-    mode: str,
 ) -> tuple[_Evaluator, tuple]:
     """One evaluator over data and prior, and the statistics of params' center."""
-    if mode not in (RESTRICTED, GLOBAL):
-        raise ValueError(f"unknown normalization {mode!r}")
     cache = cache if cache is not None else default_cache()
-    ev = _Evaluator(data, params.domain, prior, cfg, cache, mode)
+    ev = _Evaluator(data, params.domain, prior, cfg, cache)
     if params.n != ev.n:
         raise ValueError(f"model has {params.n} items, data has {ev.n}")
     return ev, ev.center_stats(params.center.stages)
@@ -318,15 +309,15 @@ def log_likelihood(
     params: MallowsParams,
     cfg: DistanceConfig = DistanceConfig(),
     cache: PartitionCache | None = None,
-    mode: str = RESTRICTED,
 ) -> float:
     """Sum of per-respondent log densities under the given model.
 
     Respondents are independent; each censored respondent contributes its
-    dropped-pair distance, normalized per ``mode`` (see module docstring).
+    dropped-pair distance, normalized over the assignments of the items it
+    ranked (see module docstring).
     """
     prior = PriorConfig(center=params.center)
-    ev, stats = _evaluate(data, params, prior, cfg, cache, mode)
+    ev, stats = _evaluate(data, params, prior, cfg, cache)
     return ev.log_likelihood(stats, params.spread)
 
 
@@ -352,10 +343,9 @@ def log_posterior(
     prior: PriorConfig,
     cfg: DistanceConfig = DistanceConfig(),
     cache: PartitionCache | None = None,
-    mode: str = RESTRICTED,
 ) -> float:
     """Unnormalized log posterior: log likelihood plus log prior."""
-    ev, stats = _evaluate(data, params, prior, cfg, cache, mode)
+    ev, stats = _evaluate(data, params, prior, cfg, cache)
     return ev.log_posterior(stats, params.spread)
 
 
@@ -389,7 +379,7 @@ def mcmc_fit(
     initial value.
     """
     cache = cache if cache is not None else default_cache()
-    ev = _Evaluator(data, domain, prior, cfg, cache, mcmc.normalization)
+    ev = _Evaluator(data, domain, prior, cfg, cache)
     rng = np.random.default_rng(mcmc.seed)
 
     start = mcmc.start_center if mcmc.start_center is not None else prior.center
@@ -428,9 +418,8 @@ def mcmc_fit(
         (proposed,) = cache.draw(center, ev.l, cfg.p, spread, rng, 1)
         stats_new = ev.center_stats(proposed)
         log_post_new = ev.log_posterior(stats_new, spread)
-        log_alpha = (log_post_new - log_post) + (
-            ev.log_psi(stats[3], spread) - ev.log_psi(stats_new[3], spread)
-        )
+        log_psi, log_psi_new = ev.log_psi([stats[3], stats_new[3]], spread)
+        log_alpha = (log_post_new - log_post) + (log_psi - log_psi_new)
         u = rng.random()
         if log_alpha >= 0.0 or u < math.exp(log_alpha):
             center, stats, log_post = proposed, stats_new, log_post_new

@@ -75,6 +75,13 @@ class QuestionnaireDataset:
         return external_label - self.stage_label_offset + 1
 
 
+def _whole(value) -> int:
+    """int(value), refusing a number that int() would truncate (2.5, but not 2.0)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def sidecar_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(_SIDEKICK_SUFFIX)
 
@@ -103,8 +110,8 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
             raise FormatError(f"sidecar is missing the {key!r} key")
     try:
         items = ItemSet(tuple(str(v) for v in meta["items"]))
-        domain = StageDomain(int(meta["l"]))
-        offset = int(meta["stage_label_offset"])
+        domain = StageDomain(_whole(meta["l"]))
+        offset = _whole(meta["stage_label_offset"])
     except (TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"sidecar has malformed items, l or stage_label_offset: {err}") from err
     provenance = str(meta.get("provenance", ""))
@@ -289,7 +296,7 @@ def read_ranking_file(path: str | Path) -> tuple[list, int]:
     if not isinstance(payload, dict) or not isinstance(payload.get("stages"), list):
         raise FormatError('ranking file must be an object with a "stages" array')
     try:
-        offset = int(payload.get("stage_label_offset", 1))
+        offset = _whole(payload.get("stage_label_offset", 1))
     except (TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"ranking file has a malformed stage_label_offset: {err}") from err
     stages = []
@@ -298,7 +305,7 @@ def read_ranking_file(path: str | Path) -> tuple[list, int]:
             stages.append(MISSING)
         else:
             try:
-                stages.append(int(value) - offset + 1)
+                stages.append(_whole(value) - offset + 1)
             except (TypeError, ValueError, OverflowError):
                 raise FormatError(f"stage entry {k} is not an integer or null")
     if not stages:

@@ -9,10 +9,13 @@ where psi is the normalizing sum over all l^n assignments. Both psi and
 the exact sampler come from one dynamic program per structural class,
 which places the center's buckets in stage order and tracks how many
 items sit at each stage. psi comes from the histogram of (discordant,
-tied-in-one) pair counts it builds; the sampler runs it backward at the
-requested spread and samples forward through it. Neither touches the l^n
-points. Both sit behind one capacity rule (check_capacity), which bounds
-the program's own tables and keeps its integer counts exact.
+tied-in-one) pair counts it builds, summed onto the distance grid of n
+items: every partition term is one row over that grid, and log psi at a
+spread is log(row @ exp(-grid / spread)) (log_psi_rows). The sampler runs
+the program backward at the requested spread and samples forward through
+it. Neither touches the l^n points. Both sit behind one capacity rule
+(check_capacity), which bounds the program's own tables and keeps its
+integer counts exact.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,7 +69,7 @@ class MallowsParams:
         return self.domain.l
 
 
-def check_capacity(n: int, l: int) -> int:
+def check_capacity(n: int, l: int, draws: int = 0) -> int:
     """Return the estimated peak bytes for {1..l}^n, or refuse the space.
 
     A space is refused (CapacityError) when l^n reaches 2^63, because every
@@ -78,7 +80,10 @@ def check_capacity(n: int, l: int) -> int:
     has at most C(n+k-1, k-1) * (P+1)^2 int64 cells; the estimate is four
     such tables (the table, the one before it and two scatter temporaries),
     plus 20 bytes per pair of pair lists and the n-by-l float64 marginals.
-    n < 1 or l < 1 is not a space (ValueError).
+    Each of `draws` rankings adds 512 + 128 n bytes for its arrays, Python
+    rankings and dataset text; tracemalloc measured at most 1.1 KB per
+    `simulate` respondent at n = 8, 4.6 KB at n = 40. n < 1 or l < 1 is not
+    a space (ValueError).
     """
     if n < 1 or l < 1:
         raise ValueError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
@@ -86,37 +91,34 @@ def check_capacity(n: int, l: int) -> int:
     if n * math.log2(l) >= 64 or l**n >= 2**63:
         raise CapacityError(n, l, "reaches 2^63, past which int64 counts are not exact")
     k, pairs = min(l, n), n * (n - 1) // 2
-    needed = 32 * math.comb(n + k - 1, k - 1) * (pairs + 1) ** 2 + 20 * pairs + 8 * n * l
+    needed = (32 * math.comb(n + k - 1, k - 1) * (pairs + 1) ** 2 + 20 * pairs + 8 * n * l
+              + draws * (512 + 128 * n))
     if needed > CAPACITY_BYTE_BUDGET:
         raise CapacityError(n, l, (
-            f"needs about {needed} bytes for the stage-count program, "
+            f"needs about {needed} bytes for the stage-count program"
+            f"{f' and {draws} draws' if draws else ''}, "
             f"over the budget of {CAPACITY_BYTE_BUDGET}"
         ))
     return needed
 
 
-def structural_class(center: CentralRanking | Sequence[int]) -> tuple[int, ...]:
-    """Canonical cache key for the center's bucket structure.
+def class_of_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """The structural class of a center whose stages, in order, hold these
+    many items (empty stages included or not).
 
     The distance multiset over the space is unchanged by relabeling items
     and by reversing the stage order, but not by arbitrary reorderings of
-    the bucket sizes. The key is therefore the occupied bucket sizes in
+    the bucket sizes. The class is therefore the occupied bucket sizes in
     stage order, canonicalized against their reversal.
     """
-    stages = center.stages if isinstance(center, CentralRanking) else tuple(center)
-    counts: dict[int, int] = {}
-    for value in stages:
-        counts[value] = counts.get(value, 0) + 1
-    ordered = tuple(counts[s] for s in sorted(counts))
+    ordered = tuple(size for size in sizes if size)
     return min(ordered, ordered[::-1])
 
 
-def enumerate_space(n: int, l: int) -> Iterator[CentralRanking]:
-    """Yield every assignment in {1..l}^n, in lexicographic order."""
-    if n < 1 or l < 1:
-        raise ValueError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
-    for stages in itertools.product(range(1, l + 1), repeat=n):
-        yield CentralRanking(stages)
+def structural_class(center: CentralRanking | Sequence[int]) -> tuple[int, ...]:
+    """Canonical cache key for the center's bucket structure (class_of_sizes)."""
+    stages = center.stages if isinstance(center, CentralRanking) else center
+    return center_buckets(tuple(stages))[0]
 
 
 @lru_cache(maxsize=256)
@@ -153,7 +155,9 @@ class _Step:
     states: int
 
 
-@lru_cache(maxsize=256)
+# Few programs are kept: each histogram is built once, and each draw keeps its
+# class's program in PartitionCache._draw_terms. More held 4 MB at n=10, l=4.
+@lru_cache(maxsize=8)
 def _stage_steps(class_key: tuple[int, ...], k: int) -> tuple[tuple[_Step, ...], np.ndarray]:
     """The stage-count program for buckets of sizes class_key, in order, over
     k stages: one _Step per bucket, and the final states (one per row).
@@ -225,17 +229,43 @@ def _stage_count_histogram(
 
 
 @lru_cache(maxsize=4096)
-def _center_buckets(center: tuple[int, ...]) -> tuple[tuple[int, ...], bool, np.ndarray]:
+def center_buckets(center: tuple[int, ...]) -> tuple[tuple[int, ...], bool, np.ndarray]:
     """The center's structural class, whether its buckets in stage order run
     against the class key, and each item's bucket in the key's order."""
     _, bucket, sizes = np.unique(center, return_inverse=True, return_counts=True)
     ordered = tuple(sizes.tolist())
-    class_key = min(ordered, ordered[::-1])
+    class_key = class_of_sizes(ordered)
     flip = ordered != class_key
     if flip:
         bucket = len(sizes) - 1 - bucket
     bucket.setflags(write=False)
     return class_key, flip, bucket
+
+
+@lru_cache(maxsize=64)
+def distance_grid(n: int, p: float) -> np.ndarray:
+    """The distinct distances d + p*e over d, e >= 0 with d + e <= C(n, 2),
+    ascending from 0: every d_p between two rankings of at most n items.
+    With p = 1/2 there are 2 C(n, 2) + 1 of them (57 at n = 8)."""
+    pairs = n * (n - 1) // 2
+    d, e = np.triu_indices(pairs + 1)  # all d <= pairs - e
+    # Deduplicated by hand: a bare np.unique imports numpy.ma, about 1 MB.
+    values = np.sort(d + p * (pairs - e))
+    grid = values[np.append(True, values[1:] != values[:-1])]
+    grid.setflags(write=False)
+    return grid
+
+
+def log_psi_rows(rows: np.ndarray, grid: np.ndarray, spread: float) -> np.ndarray:
+    """log psi(spread) of each row of multiplicities over the distance grid.
+
+    psi = row @ exp(-grid / spread) needs no log-sum-exp shift: a class's
+    row counts the center itself at distance 0, with weight exactly 1, and
+    sums to l^n < 2^63 (check_capacity), so psi lies in [1, l^n]. Below a
+    spread of 1e-300 every positive distance (at least p >= 1/2) has weight
+    0 already; taking such spreads as 1e-300 keeps grid / spread finite.
+    """
+    return np.log(rows @ np.exp(grid / -max(spread, 1e-300)))
 
 
 def _uniform_subsets(sizes: np.ndarray, l: int, rng: np.random.Generator) -> np.ndarray:
@@ -253,28 +283,25 @@ def _uniform_subsets(sizes: np.ndarray, l: int, rng: np.random.Generator) -> np.
 
 
 class PartitionCache:
-    """Memoized partition function values, distance histograms and draw weights.
+    """Memoized distance histograms, their grid rows and draw weights.
 
     The histogram of (discordant, tied-in-one) pair counts over the whole
     space is built by the stage-count dynamic program, without touching
-    the l^n points, and cached per (n, l, structural class); from it, log
-    psi for any (p, spread) is a short log-sum-exp over terms cached per
-    (n, l, p, class). Psi values themselves are cached per exact spread,
-    in an LRU bounded so long chains with ever-changing spreads cannot
-    grow the cache without limit. The exact sampler runs the same program
-    backward and samples forward through it; its edge distances, and the
-    tables of the last spread drawn at, are cached per (l, p, class). Safe
-    for concurrent use; racing writers recompute identical values.
+    the l^n points, and cached per (n, l, structural class). Its
+    multiplicities summed onto distance_grid(n, p) give the class's row,
+    cached per (n, l, p, class); log psi at any spread is then one
+    log_psi_rows over that row, and nothing is cached per spread. The
+    exact sampler runs the same program backward and samples forward
+    through it; its edge distances, and the tables of the last spread
+    drawn at, are cached per (l, p, class). Safe for concurrent use;
+    racing writers recompute identical values.
     """
-
-    _MAX_PSI_ENTRIES = 65536
 
     def __init__(self):
         self._lock = threading.Lock()
         self._histograms: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._psi_terms: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._rows: dict[tuple, np.ndarray] = {}
         self._draw_terms: dict[tuple, tuple] = {}
-        self._log_psi: "OrderedDict[tuple, float]" = OrderedDict()
 
     def _draw_tables(
         self, n: int, l: int, p: float, class_key: tuple[int, ...], spread: float
@@ -349,7 +376,7 @@ class PartitionCache:
         flipped back. Nothing here grows with l^n.
         """
         n = len(center)
-        class_key, flip, bucket = _center_buckets(center)
+        class_key, flip, bucket = center_buckets(center)
         steps, final_states, tables = self._draw_tables(n, l, p, class_key, spread)
         state = np.zeros(count, dtype=np.intp)
         placed = []
@@ -389,41 +416,29 @@ class PartitionCache:
             self._histograms[key] = entry
         return entry
 
-    def log_psi(
-        self,
-        n: int,
-        l: int,
-        class_key: tuple[int, ...],
-        p: float,
-        spread: float,
-    ) -> float:
-        key = (n, l, p, class_key, spread)
+    def row(self, n: int, l: int, class_key: tuple[int, ...], p: float) -> np.ndarray:
+        """The class's multiplicities over {1..l}^r, r = sum(class_key) <= n,
+        summed per distance of distance_grid(n, p)."""
+        key = (n, l, p, class_key)
         with self._lock:
-            hit = self._log_psi.get(key)
-            if hit is not None:
-                self._log_psi.move_to_end(key)
-                return hit
-        histogram = self.histogram(n, l, class_key)
-        terms_key = (n, l, p, class_key)
+            hit = self._rows.get(key)
+        if hit is not None:
+            return hit
+        grid = distance_grid(n, p)
+        d_counts, e_counts, mult = self.histogram(sum(class_key), l, class_key)
+        # The grid holds these very sums, so each one is found exactly.
+        row = np.bincount(np.searchsorted(grid, d_counts + p * e_counts),
+                          weights=mult, minlength=len(grid))
+        row.setflags(write=False)
         with self._lock:
-            terms = self._psi_terms.get(terms_key)
-        if terms is None:
-            d_counts, e_counts, mult = histogram
-            terms = (-(d_counts + p * e_counts), np.log(mult))
-            with self._lock:
-                self._psi_terms[terms_key] = terms
-        neg_dist, log_mult = terms
-        # Near-zero spreads legitimately drive exponents to -inf; the
-        # zero-distance entry keeps the log-sum-exp finite.
-        with np.errstate(over="ignore"):
-            exponents = neg_dist / spread + log_mult
-        top = float(exponents.max())
-        value = top + math.log(float(np.exp(exponents - top).sum()))
-        with self._lock:
-            self._log_psi[key] = value
-            while len(self._log_psi) > self._MAX_PSI_ENTRIES:
-                self._log_psi.popitem(last=False)
-        return value
+            self._rows[key] = row
+        return row
+
+    def log_psi(self, n: int, l: int, class_key: tuple[int, ...], p: float, spread: float
+                ) -> float:
+        """log psi(spread) over {1..l}^n for a center of class_key: the
+        one-row case of log_psi_rows."""
+        return float(log_psi_rows(self.row(n, l, class_key, p), distance_grid(n, p), spread))
 
 
 _DEFAULT_CACHE = PartitionCache()
@@ -453,7 +468,8 @@ def partition_function(
     """psi(spread) = sum over {1..l}^n of exp(-d_p(x, center) / spread).
 
     psi always lies in [1, l^n], so returning it in natural scale is safe;
-    the summation itself happens in log space.
+    it is the center's row over the distance grid times the weights
+    exp(-grid / spread) (log_psi_rows).
     """
     return math.exp(log_partition_function(params, cfg, cache))
 
@@ -486,9 +502,11 @@ def sample(
     count: int = 1,
 ) -> list[CentralRanking]:
     """Draw exact i.i.d. samples through the stage-count program (see
-    PartitionCache.draw); reproducible from a seeded rng."""
+    PartitionCache.draw); reproducible from a seeded rng. A count whose
+    draws would not fit check_capacity's budget is refused up front."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    check_capacity(params.n, params.l, draws=count)
     rng = rng if rng is not None else np.random.default_rng()
     cache = cache if cache is not None else _DEFAULT_CACHE
     draws = cache.draw(params.center.stages, params.l, cfg.p, params.spread, rng, count)

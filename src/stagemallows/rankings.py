@@ -131,14 +131,6 @@ class CentralRanking:
     def n(self) -> int:
         return len(self.stages)
 
-    @property
-    def bucket_sizes(self) -> tuple[int, ...]:
-        """Sizes of the occupied stage buckets, in stage order."""
-        counts: dict[int, int] = {}
-        for value in self.stages:
-            counts[value] = counts.get(value, 0) + 1
-        return tuple(counts[s] for s in sorted(counts))
-
     def check_domain(self, domain: StageDomain) -> None:
         for idx, value in enumerate(self.stages):
             if not domain.contains(value):

@@ -102,15 +102,6 @@ def naive_log_likelihood_restricted(data, center, l, spread, p=0.5):
     return total
 
 
-def naive_log_likelihood_global(data, center, l, spread, p=0.5):
-    """Censored-data log-likelihood normalized by the full-space psi."""
-    log_psi = math.log(naive_psi(tuple(center), l, spread, p))
-    total = 0.0
-    for stages in data:
-        total += -naive_distance(stages, center, p) / spread - log_psi
-    return total
-
-
 def naive_log_posterior(data, center, l, spread, prior_center, p=0.5, pi_spread=None):
     """Unnormalized log posterior matching the model's factorization."""
     ll = naive_log_likelihood_restricted(data, center, l, spread, p)

@@ -18,7 +18,6 @@ from stagemallows.io import demo_dataset_path, item_response_rates, read_dataset
 from stagemallows.mallows import (
     MallowsParams,
     PartitionCache,
-    enumerate_space,
     log_pmf,
     partition_function,
     sample,
@@ -81,7 +80,7 @@ def test_criterion_2_pmf_normalization_and_mode():
     for n, l, spread, center in _random_cases(50, seed=202):
         params = MallowsParams(CentralRanking(center), spread, StageDomain(l))
         values = {
-            x.stages: log_pmf(x, params, cache=cache) for x in enumerate_space(n, l)
+            x.stages: log_pmf(x, params, cache=cache) for x in map(CentralRanking, full_space(n, l))
         }
         total = sum(math.exp(v) for v in values.values())
         worst_norm = max(worst_norm, abs(total - 1.0))
@@ -266,7 +265,7 @@ def test_criterion_6_recovery_at_survey_scale():
 def test_criterion_7_uniform_and_concentrated_limits():
     """Huge spread flattens the pmf; tiny spread concentrates it."""
     flat = MallowsParams(CentralRanking((1, 2)), 1e6, StageDomain(2))
-    probs = [math.exp(log_pmf(x, flat)) for x in enumerate_space(2, 2)]
+    probs = [math.exp(log_pmf(x, flat)) for x in map(CentralRanking, full_space(2, 2))]
     ratio = max(probs) / min(probs)
 
     peaked = MallowsParams(CentralRanking((1, 2, 3)), 0.01, StageDomain(3))

@@ -1,0 +1,26 @@
+"""Smoke test of the benchmark harness in perfbench/, run as a user runs it.
+
+The traced run wraps PartitionCache.log_psi and PartitionCache.histogram by
+name and checks that the layers' self times add up to the traced wall
+time within 5%, so this test fails when a refactor of the package breaks
+the names the tracer patches or the harness's own checks.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_large_run_is_correct_and_fails_nothing():
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "large", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True, result.stdout
+    assert summary["failed"] == 0, result.stdout

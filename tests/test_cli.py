@@ -121,6 +121,18 @@ class TestSimulate:
         result = runner.invoke(cli, ["simulate", "--n", "3"])
         assert result.exit_code == 2
 
+    # 10^12 draws would need terabytes; they are refused before any is made.
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    def test_respondent_count_capacity_exit_code(self, runner, tmp_path, command):
+        result = runner.invoke(
+            cli,
+            [command, "--n", "3", "--l", "2", "--lambda", "1",
+             "--center-random", "--M", "1000000000000", "--out", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 3, result.output
+        assert "Traceback" not in result.output
+        assert "1000000000000 draws" in result.output
+
 
 class TestFit:
     def fit_args(self, data, out, extra=()):
@@ -339,6 +351,18 @@ _FIT = [
 ]
 
 
+_DATA = "respondent_id,item,stage\nR1,a,1\nR1,b,2\nR1,c,1\nR2,a,2\nR2,b,1\nR2,c,2\n"
+_INVALID_FILES = {
+    "stage-1.7.json": '{"stages": [1.7, 2, 1]}',
+    "offset-1.5.json": '{"stages": [1, 2, 1], "stage_label_offset": 1.5}',
+    "stages-121.json": '{"stages": [1, 2, 1]}',
+    "l-2.5.csv": _DATA,
+    "l-2.5.meta.json": '{"items": ["a", "b", "c"], "l": 2.5, "stage_label_offset": 1}',
+    "offset-1.5.csv": _DATA,
+    "offset-1.5.meta.json": '{"items": ["a", "b", "c"], "l": 2, "stage_label_offset": 1.5}',
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -355,6 +379,13 @@ _FIT = [
         _FIT + ["--lambda-init", "inf"],
         _FIT + ["--proposal-scale", "nan"],
         _FIT + ["--prior-spread", "inf"],
+        _FIT + ["--normalization", "global"],
+        ["distance", "file:stage-1.7.json", "file:stages-121.json"],
+        ["distance", "file:offset-1.5.json", "file:stages-121.json"],
+        ["simulate", "--n", "3", "--l", "3", "--lambda", "1", "--M", "5",
+         "--center", "file:stage-1.7.json"],
+        ["fit", "--data", "file:l-2.5.csv", "--prior-center", "file:stages-121.json"],
+        ["fit", "--data", "file:offset-1.5.csv", "--prior-center", "file:stages-121.json"],
     ],
     ids=[
         "min-response-rate-above-one",
@@ -366,11 +397,22 @@ _FIT = [
         "infinite-lambda-init",
         "nan-proposal-scale",
         "infinite-prior-spread",
+        "removed-normalization-option",
+        "non-integral-stage",
+        "non-integral-offset",
+        "non-integral-center-file",
+        "non-integral-sidecar-l",
+        "non-integral-sidecar-offset",
     ],
 )
 def test_invalid_input_exits_two_without_traceback(runner, tmp_path, args):
-    out_flag = "--out-dir" if args[0] == "fit" else "--out"
-    result = runner.invoke(cli, args + [out_flag, str(tmp_path / "out")])
+    # "file:NAME" stands for a file of _INVALID_FILES, written to tmp_path.
+    for name, text in _INVALID_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    args = [str(tmp_path / arg[5:]) if arg.startswith("file:") else arg for arg in args]
+    if args[0] != "distance":
+        args += ["--out-dir" if args[0] == "fit" else "--out", str(tmp_path / "out")]
+    result = runner.invoke(cli, args)
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
     assert "Error" in result.output or "error" in result.output
@@ -419,7 +461,7 @@ _FIT_INPUTS = {
         ("l", 2), ("items", 3), ("items", []), ("items", ["a", "a", "b"]), ("l", "x"),
         ("l", 0), ("l", -2), ("l", [2]), ("l", None), ("l", 10**30),
         ("stage_label_offset", "x"), ("stage_label_offset", [1]),
-        ("stage_label_offset", 10**30),
+        ("stage_label_offset", 10**30), ("l", 2.0), ("l", 2.5), ("stage_label_offset", 1.5),
     ]] + ["{", "[]", "3", "null", '{"items": ["a", "b", "c"]}',
           '{"items": ["a", "b", "c"], "l": 1e400, "stage_label_offset": 1}'],
     "prior": ['{"stages": [1, 2, 1]}', "{", "[1, 2, 1]", '{"stages": 3}',
@@ -428,7 +470,9 @@ _FIT_INPUTS = {
               '{"stages": [1e400, 2, 1]}', '{"stages": [{"a": 1}, 2, 1]}',
               '{"stages": [1, 2, 1], "stage_label_offset": "x"}',
               '{"stages": [1, 2, 1], "stage_label_offset": [1]}',
-              '{"stages": [1, 2, 1], "stage_label_offset": 1e400}'],
+              '{"stages": [1, 2, 1], "stage_label_offset": 1e400}',
+              '{"stages": [1.7, 2, 1]}', '{"stages": [1.0, 2, 1]}',
+              '{"stages": [1, 2, 1], "stage_label_offset": 1.5}'],
     "--lambda-init": ["1", "1e-300", "1e300"] + _BOUNDARIES,
     "--p": ["0.5", "1"] + _BOUNDARIES,
     "--prior-spread": ["1", "1e-300"] + _BOUNDARIES,

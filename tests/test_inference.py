@@ -5,8 +5,6 @@ import pytest
 
 from stagemallows.errors import InitializationError
 from stagemallows.inference import (
-    GLOBAL,
-    RESTRICTED,
     McmcConfig,
     PriorConfig,
     log_likelihood,
@@ -18,13 +16,12 @@ from stagemallows.inference import (
     stage_marginals,
 )
 from stagemallows.mallows import MallowsParams, PartitionCache, partition_function
-from stagemallows.rankings import CentralRanking, PartialRanking, StageDomain
+from stagemallows.rankings import CentralRanking, DistanceConfig, PartialRanking, StageDomain
 from stagemallows.synth import SynthConfig, generate
 
 from oracles import (
     full_space,
     log_trunc_normal,
-    naive_log_likelihood_global,
     naive_log_likelihood_restricted,
     naive_log_posterior,
 )
@@ -69,23 +66,9 @@ class TestLogLikelihood:
     def test_single_observed_item_is_uniform(self):
         p = params([1, 2, 2], 1.0, 3)
         data = [PartialRanking((None, 2, None))]
-        assert log_likelihood(data, p, mode=RESTRICTED) == pytest.approx(
+        assert log_likelihood(data, p) == pytest.approx(
             -math.log(3), rel=1e-12
         )
-
-    def test_modes_coincide_without_missingness(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            n = int(rng.integers(2, 5))
-            l = int(rng.integers(2, 4))
-            p = params([int(v) for v in rng.integers(1, l + 1, n)], 1.3, l)
-            data = [
-                PartialRanking(tuple(int(v) for v in rng.integers(1, l + 1, n)))
-                for _ in range(6)
-            ]
-            a = log_likelihood(data, p, mode=RESTRICTED)
-            b = log_likelihood(data, p, mode=GLOBAL)
-            assert a == pytest.approx(b, abs=1e-12)
 
     def test_restricted_matches_naive_oracle(self):
         center = (1, 2, 2, 3)
@@ -97,20 +80,12 @@ class TestLogLikelihood:
             (3, 2, 1, None),
         ]
         data = [PartialRanking(t) for t in data_raw]
-        want = naive_log_likelihood_restricted(data_raw, center, 3, 0.9)
-        assert log_likelihood(data, p) == pytest.approx(want, rel=1e-10)
-
-    def test_global_matches_naive_oracle(self):
-        center = (2, 1, 3, 3)
-        p = params(center, 1.4, 3)
-        data_raw = [
-            (1, 2, None, 3),
-            (2, 2, 1, None),
-            (1, 1, 2, 2),
-        ]
-        data = [PartialRanking(t) for t in data_raw]
-        want = naive_log_likelihood_global(data_raw, center, 3, 1.4)
-        assert log_likelihood(data, p, mode=GLOBAL) == pytest.approx(want, rel=1e-10)
+        # At p = 1/2 and p = 1 distinct (discordant, tied-one) counts share a
+        # point of the distance grid; at p = 3/4 fewer do.
+        for tie in (0.5, 0.75, 1.0):
+            want = naive_log_likelihood_restricted(data_raw, center, 3, 0.9, tie)
+            got = log_likelihood(data, p, DistanceConfig(p=tie))
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -184,10 +159,6 @@ class TestMcmcConfig:
     def test_rejects_ragged_thinning(self):
         with pytest.raises(ValueError):
             McmcConfig(iterations=110, burn_in=10, thinning=3)
-
-    def test_rejects_bad_normalization(self):
-        with pytest.raises(ValueError):
-            McmcConfig(normalization="bogus")
 
 
 def _synthetic(n, l, spread, m, seed, missing=0.0):

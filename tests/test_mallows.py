@@ -16,7 +16,7 @@ from stagemallows.mallows import (
     MallowsParams,
     PartitionCache,
     check_capacity,
-    enumerate_space,
+    log_partition_function,
     log_pmf,
     partition_function,
     sample,
@@ -32,16 +32,17 @@ def params(stages, spread, l):
 
 
 class TestEnumerateSpace:
+    # The brute-force space every oracle here sums over.
     def test_smallest_space(self):
-        out = [r.stages for r in enumerate_space(1, 2)]
+        out = list(full_space(1, 2))
         assert out == [(1,), (2,)]
 
     def test_counts_are_l_to_the_n(self):
-        assert sum(1 for _ in enumerate_space(2, 3)) == 9
-        assert sum(1 for _ in enumerate_space(8, 4)) == 65_536
+        assert sum(1 for _ in full_space(2, 3)) == 9
+        assert sum(1 for _ in full_space(8, 4)) == 65_536
 
     def test_lexicographic_and_distinct(self):
-        out = [r.stages for r in enumerate_space(3, 3)]
+        out = list(full_space(3, 3))
         assert out == sorted(out)
         assert len(set(out)) == len(out) == 27
 
@@ -212,6 +213,14 @@ class TestPartitionFunction:
         assert partition_function(params([1, 2, 2], 1e9, 3)) == pytest.approx(
             27.0, rel=1e-6
         )
+        # Both ends of the spread range: only the points at distance 0 from
+        # (1, 2) over {1,2,3}^2, (1,2), (1,3) and (2,3), keep any weight at
+        # 1e-300, and every one of the 3^2 points keeps all of it at 1e300.
+        for spread, points in ((1e-300, 3), (1e300, 9)):
+            p = params([1, 2], spread, 3)
+            assert log_partition_function(p, cache=PartitionCache()) == pytest.approx(
+                math.log(points), rel=1e-12
+            )
 
     def test_domain_must_cover_center(self):
         with pytest.raises(ValueError):
@@ -302,7 +311,7 @@ class TestLogPmf:
             spread = float(rng.choice([0.3, 1.0, 3.0]))
             p = params([int(v) for v in rng.integers(1, l + 1, n)], spread, l)
             total = sum(
-                math.exp(log_pmf(x, p, cache=cache)) for x in enumerate_space(n, l)
+                math.exp(log_pmf(x, p, cache=cache)) for x in map(CentralRanking, full_space(n, l))
             )
             assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -313,12 +322,12 @@ class TestLogPmf:
             n = int(rng.integers(2, 6))
             l = int(rng.integers(2, 5))
             p = params([int(v) for v in rng.integers(1, l + 1, n)], 1.0, l)
-            best = max(log_pmf(x, p, cache=cache) for x in enumerate_space(n, l))
+            best = max(log_pmf(x, p, cache=cache) for x in map(CentralRanking, full_space(n, l)))
             assert log_pmf(p.center, p, cache=cache) == pytest.approx(best, abs=1e-12)
 
     def test_uniform_limit(self):
         p = params([1, 2], 1e6, 2)
-        for x in enumerate_space(2, 2):
+        for x in map(CentralRanking, full_space(2, 2)):
             assert log_pmf(x, p) == pytest.approx(math.log(0.25), abs=1e-3)
 
     def test_values_match_naive_pmf(self):
@@ -326,7 +335,7 @@ class TestLogPmf:
         p = params(center, 0.7, 3)
         cache = PartitionCache()
         want = naive_pmf(center, 3, 0.7)
-        for x in enumerate_space(3, 3):
+        for x in map(CentralRanking, full_space(3, 3)):
             assert math.exp(log_pmf(x, p, cache=cache)) == pytest.approx(
                 want[x.stages], rel=1e-10
             )

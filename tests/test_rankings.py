@@ -63,10 +63,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             CentralRanking((1, None, 2))
 
-    def test_central_ranking_bucket_sizes(self):
-        assert central(1, 2, 2, 3, 3, 3, 3, 4).bucket_sizes == (1, 2, 4, 1)
-        assert central(2, 2, 5).bucket_sizes == (2, 1)
-
     def test_domain_check(self):
         with pytest.raises(ValueError):
             central(1, 5).check_domain(StageDomain(4))
