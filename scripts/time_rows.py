@@ -1,0 +1,85 @@
+"""Time fresh partition-row builds, one structural class at a time.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python3 scripts/time_rows.py [--repeats R]
+
+For every structural class of n <= 10 items over l = 4 stages and of n <= 6
+items over l = 3, at p = 0.5 and p = 0.731, builds the class's row over
+distance_grid(n, p) with a new PartitionCache, after clearing the cached
+stage-count programs and compositions. Each build is timed in two parts with
+time.perf_counter: ``program_s`` builds the class's program
+(mallows._stage_steps), and ``row_s`` is PartitionCache.row on top of it.
+A space's figure is the sum over its classes; each is the median of R passes,
+after one untimed pass. Prints one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import platform
+import statistics
+import time
+from importlib import metadata
+
+from stagemallows import mallows
+
+SPACES = ((10, 4), (6, 3))
+PENALTIES = (0.5, 0.731)
+
+
+def classes(n_max: int, l: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(n, class key) for every structural class of n <= n_max items in at
+    most l buckets."""
+    found = set()
+    for n in range(1, n_max + 1):
+        for buckets in range(1, min(l, n) + 1):
+            for cuts in itertools.combinations(range(1, n), buckets - 1):
+                edges = (0, *cuts, n)
+                sizes = [b - a for a, b in zip(edges, edges[1:])]
+                found.add((n, mallows.class_of_sizes(sizes)))
+    return sorted(found)
+
+
+def one_pass(space: list[tuple[int, tuple[int, ...]]], l: int, p: float) -> tuple[float, float]:
+    """Seconds spent building the programs and the rows of every class."""
+    program_s = row_s = 0.0
+    clock = time.perf_counter
+    for n, class_key in space:
+        mallows._stage_steps.cache_clear()
+        mallows._compositions.cache_clear()
+        start = clock()
+        mallows._stage_steps(class_key, min(l, n))
+        built = clock()
+        mallows.PartitionCache().row(n, l, class_key, p)
+        program_s += built - start
+        row_s += clock() - built
+    return program_s, row_s
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    results = []
+    for n_max, l in SPACES:
+        space = classes(n_max, l)
+        for p in PENALTIES:
+            one_pass(space, l, p)
+            passes = [one_pass(space, l, p) for _ in range(args.repeats)]
+            results.append({
+                "n_max": n_max, "l": l, "p": p, "classes": len(space),
+                "program_s": round(statistics.median(a for a, _ in passes), 4),
+                "row_s": round(statistics.median(b for _, b in passes), 4),
+                "total_s": round(statistics.median(a + b for a, b in passes), 4),
+            })
+    print(json.dumps({
+        "python": platform.python_version(), "numpy": metadata.version("numpy"),
+        "repeats": args.repeats, "spaces": results,
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -399,40 +399,37 @@ def write_heatmap_svg(
         )
     width = _SVG_LEFT + l * _SVG_CELL + 20
     height = _SVG_TOP + n * _SVG_CELL + 20
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'font-family="sans-serif" font-size="12">',
-    ]
-    if manifest is not None:
-        blob = json.dumps(dict(manifest), sort_keys=True, separators=(",", ":"))
-        parts.append(f"<!-- manifest: {blob.replace('--', '- -')} -->")
-    for s in range(l):
-        x = _SVG_LEFT + s * _SVG_CELL + _SVG_CELL // 2
-        parts.append(
-            f'<text x="{x}" y="{_SVG_TOP - 10}" text-anchor="middle">'
-            f"{ds.external_label(s + 1)}</text>"
-        )
-    for i in range(n):
-        y = _SVG_TOP + i * _SVG_CELL
-        label = _xml_escape(ds.items.labels[i])
-        parts.append(
-            f'<text x="{_SVG_LEFT - 8}" y="{y + _SVG_CELL // 2 + 4}" '
-            f'text-anchor="end">{label}</text>'
-        )
-        for s in range(l):
-            x = _SVG_LEFT + s * _SVG_CELL
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{_SVG_CELL - 2}" '
-                f'height="{_SVG_CELL - 2}" fill="#2a6f97" '
-                f'fill-opacity="{marginals[i, s]:.6f}" '
-                f'stroke="#444444" stroke-width="0.5"/>'
-            )
-    parts.append("</svg>")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    # Streamed, a row's cells 1,024 at a time: a cell's rect is about 145
+    # bytes of text, and the capacity rule admits l up to about 2^28 / n.
+    with path.open("w", encoding="utf-8") as out:
+        out.write('<?xml version="1.0" encoding="UTF-8"?>\n'
+                  f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                  f'width="{width}" height="{height}" '
+                  f'font-family="sans-serif" font-size="12">\n')
+        if manifest is not None:
+            blob = json.dumps(dict(manifest), sort_keys=True, separators=(",", ":"))
+            out.write(f"<!-- manifest: {blob.replace('--', '- -')} -->\n")
+        out.writelines(
+            f'<text x="{_SVG_LEFT + s * _SVG_CELL + _SVG_CELL // 2}" y="{_SVG_TOP - 10}" '
+            f'text-anchor="middle">{ds.external_label(s + 1)}</text>\n'
+            for s in range(l)
+        )
+        for i in range(n):
+            y = _SVG_TOP + i * _SVG_CELL
+            out.write(f'<text x="{_SVG_LEFT - 8}" y="{y + _SVG_CELL // 2 + 4}" '
+                      f'text-anchor="end">{_xml_escape(ds.items.labels[i])}</text>\n')
+            cell = (f'" y="{y}" width="{_SVG_CELL - 2}" height="{_SVG_CELL - 2}" '
+                    'fill="#2a6f97" fill-opacity="')
+            for start in range(0, l, 1024):
+                shades = marginals[i, start:start + 1024].tolist()
+                xs = range(_SVG_LEFT + start * _SVG_CELL, _SVG_LEFT + l * _SVG_CELL, _SVG_CELL)
+                out.write("".join(
+                    f'<rect x="{x}{cell}{shade:.6f}" stroke="#444444" stroke-width="0.5"/>\n'
+                    for x, shade in zip(xs, shades)
+                ))
+        out.write("</svg>\n")
 
 
 def _xml_escape(text: str) -> str:

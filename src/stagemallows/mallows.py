@@ -8,10 +8,13 @@ Kendall tau distance from a central ranking:
 where psi is the normalizing sum over all l^n assignments. Both psi and
 the exact sampler come from one dynamic program per structural class,
 which places the center's buckets in stage order and tracks how many
-items sit at each stage. psi comes from the histogram of (discordant,
-tied-in-one) pair counts it builds, summed onto the distance grid of n
-items: every partition term is one row over that grid, and log psi at a
-spread is log(row @ exp(-grid / spread)) (log_psi_rows). The sampler runs
+items sit at each stage. For psi it counts the points per integer key of
+their d discordant and e tied-in-one pairs: b d + a e when p = a / b with
+b <= C(n, 2) + 1 (the lattice, where equal keys are equal distances; 2d + e
+at p = 1/2), else (C(n, 2) + 1) d + e, the pair itself. Those counts,
+summed onto the distance grid of n items, make every partition term one
+row over that grid, and log psi at a spread is
+log(row @ exp(-grid / spread)) (log_psi_rows). The sampler runs
 the program backward at the requested spread and samples forward through
 it. Neither touches the l^n points. Both sit behind one capacity rule
 (check_capacity), which bounds the program's own tables and keeps its
@@ -76,9 +79,10 @@ def check_capacity(n: int, l: int, draws: int = 0) -> int:
     multiplicity and count sum of the stage-count program is at most l^n
     and int64 holds it exactly only below that; or when the estimate
     exceeds CAPACITY_BYTE_BUDGET. With k = min(l, n) stages in the program
-    and P = C(n, 2) item pairs, the histogram's largest (state, d, e) table
-    has at most C(n+k-1, k-1) * (P+1)^2 int64 cells; the estimate is four
-    such tables (the table, the one before it and two scatter temporaries),
+    and P = C(n, 2) item pairs, its largest (state, key) table has at most
+    C(n+k-1, k-1) * (P+1)^2 int64 cells, the key (P+1) d + e being the
+    widest; the estimate is four such tables (the table, the one before it
+    or its nonzero cells, and the scatter's index and value temporaries),
     plus 20 bytes per pair of pair lists and the n-by-l float64 marginals.
     Each of `draws` rankings adds 512 + 128 n bytes for its arrays, Python
     rankings and dataset text; tracemalloc measured at most 1.1 KB per
@@ -155,8 +159,8 @@ class _Step:
     states: int
 
 
-# Few programs are kept: each histogram is built once, and each draw keeps its
-# class's program in PartitionCache._draw_terms. More held 4 MB at n=10, l=4.
+# Few programs are kept: each row or histogram is built once, and each draw keeps
+# its class's program in PartitionCache._draw_terms. More held 4 MB at n=10, l=4.
 @lru_cache(maxsize=8)
 def _stage_steps(class_key: tuple[int, ...], k: int) -> tuple[tuple[_Step, ...], np.ndarray]:
     """The stage-count program for buckets of sizes class_key, in order, over
@@ -174,8 +178,6 @@ def _stage_steps(class_key: tuple[int, ...], k: int) -> tuple[tuple[_Step, ...],
     steps = []
     for b in class_key:
         comps, below, mult, split = _compositions(b, k)
-        # u -> u + v is injective for each v, so no two edges from one
-        # state meet, and each histogram scatter writes a cell once.
         codes, dest = np.unique((states @ radix)[:, np.newaxis] + comps @ radix,
                                 return_inverse=True)
         placed = np.repeat(np.tile(np.arange(k, dtype=np.int8), len(comps)), comps.ravel())
@@ -190,14 +192,16 @@ def _stage_steps(class_key: tuple[int, ...], k: int) -> tuple[tuple[_Step, ...],
     return tuple(steps), states
 
 
-def _stage_count_histogram(
-    class_key: tuple[int, ...], l: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(discordant, tied-one, multiplicity) over {1..l}^n for a center of class_key.
+def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int) -> np.ndarray:
+    """Multiplicities over {1..l}^n for a center of class_key, by the integer
+    key alpha*d + beta*e of d discordant and e tied-in-one pairs.
 
-    Runs the stage-count program (see _stage_steps), with table[u, d, e]
-    counting the ways to reach state u with d discordant and e tied-in-one
-    pairs among the items placed.
+    Runs the stage-count program (see _stage_steps), with table[u, key]
+    counting the ways to reach state u with that key among the items
+    placed: one row of keys per state, not a (d, e) plane. Most cells are
+    zero, so each step moves only the nonzero ones. np.add.at sums the edges
+    that meet, for as many compositions at once as keep its index and value
+    temporaries within the size of the grown table.
 
     At most n stages are occupied, so for l > n the program runs over n
     stages: a final state with j occupied stages stands for C(n, j) ways
@@ -205,27 +209,25 @@ def _stage_count_histogram(
     """
     n = sum(class_key)
     steps, final_states = _stage_steps(class_key, min(l, n))
-    table = np.ones((1, 1, 1), dtype=np.int64)
+    table = np.ones((1, 1), dtype=np.int64)
     for step in steps:
-        s, rows, cols = table.shape
-        width = cols + int(step.tied.max())
-        grown = np.zeros((step.states, rows + int(step.discordant.max()), width),
-                         dtype=np.int64)
-        base = (step.dest * grown.shape[1] + step.discordant) * width + step.tied
-        cells = (np.arange(rows)[:, np.newaxis] * width + np.arange(cols)).ravel()
-        flat, source = grown.reshape(-1), table.reshape(s, -1)
-        for c in range(len(step.mult)):
-            flat[base[:, c, np.newaxis] + cells] += step.mult[c] * source
-        table = grown
+        state, key = np.nonzero(table)
+        count = table[state, key]
+        shift = alpha * step.discordant + beta * step.tied
+        table = np.zeros((step.states, table.shape[1] + int(shift.max())), dtype=np.int64)
+        base = step.dest * table.shape[1] + shift
+        block = max(1, table.size // (2 * len(count)))
+        for c in range(0, len(step.mult), block):
+            chosen = slice(c, c + block)
+            np.add.at(table.reshape(-1), base[state, chosen] + key[:, np.newaxis],
+                      count[:, np.newaxis] * step.mult[chosen])
     if l > n:
         occupied = np.count_nonzero(final_states, axis=1)
         table = np.stack([
             table[occupied == j].sum(axis=0) // math.comb(n, j) * math.comb(l, j)
             for j in range(1, n + 1)
         ])
-    counts = table.sum(axis=0)
-    d_counts, e_counts = np.nonzero(counts)
-    return d_counts, e_counts, counts[d_counts, e_counts]
+    return table.sum(axis=0)
 
 
 @lru_cache(maxsize=4096)
@@ -242,15 +244,20 @@ def center_buckets(center: tuple[int, ...]) -> tuple[tuple[int, ...], bool, np.n
     return class_key, flip, bucket
 
 
+def _pair_triangle(pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (discordant, tied-one) count pair d, e >= 0 with d + e <= pairs."""
+    span = np.arange(pairs + 1)
+    return np.nonzero(span[:, np.newaxis] + span <= pairs)
+
+
 @lru_cache(maxsize=64)
 def distance_grid(n: int, p: float) -> np.ndarray:
     """The distinct distances d + p*e over d, e >= 0 with d + e <= C(n, 2),
     ascending from 0: every d_p between two rankings of at most n items.
     With p = 1/2 there are 2 C(n, 2) + 1 of them (57 at n = 8)."""
-    pairs = n * (n - 1) // 2
-    d, e = np.triu_indices(pairs + 1)  # all d <= pairs - e
+    d, e = _pair_triangle(n * (n - 1) // 2)
     # Deduplicated by hand: a bare np.unique imports numpy.ma, about 1 MB.
-    values = np.sort(d + p * (pairs - e))
+    values = np.sort(d + p * e)
     grid = values[np.append(True, values[1:] != values[:-1])]
     grid.setflags(write=False)
     return grid
@@ -283,23 +290,22 @@ def _uniform_subsets(sizes: np.ndarray, l: int, rng: np.random.Generator) -> np.
 
 
 class PartitionCache:
-    """Memoized distance histograms, their grid rows and draw weights.
+    """Memoized grid rows and draw weights.
 
-    The histogram of (discordant, tied-in-one) pair counts over the whole
-    space is built by the stage-count dynamic program, without touching
-    the l^n points, and cached per (n, l, structural class). Its
-    multiplicities summed onto distance_grid(n, p) give the class's row,
-    cached per (n, l, p, class); log psi at any spread is then one
+    A class's row counts the points of the whole space per value of
+    distance_grid(n, p). The stage-count dynamic program builds it over an
+    integer distance key (see row), without touching the l^n points, and
+    it is cached per (n, l, p, class); log psi at any spread is then one
     log_psi_rows over that row, and nothing is cached per spread. The
-    exact sampler runs the same program backward and samples forward
-    through it; its edge distances, and the tables of the last spread
-    drawn at, are cached per (l, p, class). Safe for concurrent use;
-    racing writers recompute identical values.
+    histogram of (discordant, tied-in-one) pair counts is the same program
+    over the key (P+1) d + e. The exact sampler runs the program backward
+    and samples forward through it; its edge distances, and the tables of
+    the last spread drawn at, are cached per (l, p, class). Safe for
+    concurrent use; racing writers recompute identical values.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._histograms: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._rows: dict[tuple, np.ndarray] = {}
         self._draw_terms: dict[tuple, tuple] = {}
 
@@ -404,31 +410,45 @@ class PartitionCache:
     def histogram(
         self, n: int, l: int, class_key: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(discordant counts, tied-one counts, multiplicities) over the space."""
-        key = (n, l, class_key)
-        with self._lock:
-            hit = self._histograms.get(key)
-        if hit is not None:
-            return hit
+        """(discordant counts, tied-one counts, multiplicities) over the space,
+        ascending by (d, e): the program over the key (P+1) d + e, with
+        P = C(sum(class_key), 2) >= e, decoded with divmod. Fits build rows
+        instead, so nothing here is cached."""
         check_capacity(n, l)
-        entry = _stage_count_histogram(class_key, l)
-        with self._lock:
-            self._histograms[key] = entry
-        return entry
+        pairs = math.comb(sum(class_key), 2)
+        counts = _stage_count_table(class_key, l, pairs + 1, 1)
+        keys = np.flatnonzero(counts)
+        return (*np.divmod(keys, pairs + 1), counts[keys])
 
     def row(self, n: int, l: int, class_key: tuple[int, ...], p: float) -> np.ndarray:
         """The class's multiplicities over {1..l}^r, r = sum(class_key) <= n,
-        summed per distance of distance_grid(n, p)."""
+        summed per distance of distance_grid(n, p).
+
+        The program runs over one integer key per (d, e). With p = a / b in
+        lowest terms (float p is dyadic, so b is a power of 2) and b <= P + 1,
+        P = C(r, 2), the key is b d + a e = b (d + p e): the lattice, where
+        equal keys are equal distances, 2d + e at p = 1/2. Otherwise it is
+        (P+1) d + e, the (d, e) pair itself, as in histogram. A lookup built
+        from the (d, e) triangle maps each key to its grid index.
+        """
         key = (n, l, p, class_key)
         with self._lock:
             hit = self._rows.get(key)
         if hit is not None:
             return hit
+        r = sum(class_key)
+        check_capacity(r, l)
+        pairs = math.comb(r, 2)
+        a, b = p.as_integer_ratio()
+        alpha, beta = (b, a) if b <= pairs + 1 else (pairs + 1, 1)
+        counts = _stage_count_table(class_key, l, alpha, beta)
         grid = distance_grid(n, p)
-        d_counts, e_counts, mult = self.histogram(sum(class_key), l, class_key)
+        d, e = _pair_triangle(pairs)
         # The grid holds these very sums, so each one is found exactly.
-        row = np.bincount(np.searchsorted(grid, d_counts + p * e_counts),
-                          weights=mult, minlength=len(grid))
+        lookup = np.zeros(alpha * pairs + 1, dtype=np.intp)
+        lookup[alpha * d + beta * e] = np.searchsorted(grid, d + p * e)
+        keys = np.flatnonzero(counts)
+        row = np.bincount(lookup[keys], weights=counts[keys], minlength=len(grid))
         row.setflags(write=False)
         with self._lock:
             self._rows[key] = row

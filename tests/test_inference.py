@@ -87,6 +87,16 @@ class TestLogLikelihood:
             got = log_likelihood(data, p, DistanceConfig(p=tie))
             assert got == pytest.approx(want, rel=1e-10)
 
+    def test_restricted_matches_naive_oracle_off_the_lattice(self):
+        # p = 0.6 is no ratio of small integers, so the rows come from the
+        # program over the (discordant, tied-one) pair itself.
+        center = (1, 2, 2, 3)
+        data_raw = [(1, 2, None, 3), (2, None, None, 1), (1, 1, 2, 2), (3, 2, 1, None)]
+        want = naive_log_likelihood_restricted(data_raw, center, 3, 0.9, 0.6)
+        got = log_likelihood([PartialRanking(t) for t in data_raw], params(center, 0.9, 3),
+                             DistanceConfig(p=0.6))
+        assert got == pytest.approx(want, rel=1e-10)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             log_likelihood([], params([1, 2], 1.0, 2))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,3 +318,24 @@ class TestHeatmap:
     def test_shape_mismatch_rejected(self, tmp_path, two_item_ds):
         with pytest.raises(ValueError):
             write_heatmap_svg(np.zeros((3, 3)), two_item_ds, tmp_path / "x.svg")
+
+    def test_wide_matrix_streams_in_little_memory(self, tmp_path):
+        # 3 items over 100,000 stages: about 43 MB of SVG, written as it is
+        # formed, so the peak stays far below the text's size.
+        ds = QuestionnaireDataset(
+            items=ItemSet(("a", "b", "c")),
+            stage_domain=StageDomain(100_000),
+            stage_label_offset=1,
+            responses=(),
+        )
+        marginals = np.full((3, 100_000), 1e-5)
+        path = tmp_path / "wide.svg"
+        tracemalloc.start()
+        try:
+            write_heatmap_svg(marginals, ds, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        with path.open(encoding="utf-8") as svg:
+            assert sum(line.startswith("<rect") for line in svg) == 3 * 100_000

@@ -16,6 +16,7 @@ from stagemallows.mallows import (
     MallowsParams,
     PartitionCache,
     check_capacity,
+    distance_grid,
     log_partition_function,
     log_pmf,
     partition_function,
@@ -90,6 +91,43 @@ class TestByteGuard:
             finally:
                 tracemalloc.stop()
             assert peak <= estimate, class_key
+
+
+def classes_of(n, l):
+    """Every structural class of n items in at most l buckets."""
+    return sorted({
+        structural_class(bucket_center(sizes))
+        for k in range(1, min(l, n) + 1)
+        for sizes in itertools.product(range(1, n + 1), repeat=k)
+        if sum(sizes) == n
+    })
+
+
+def fresh_row_peak(n, l, class_key, p):
+    """tracemalloc's peak over one row build with every cache cleared."""
+    mallows._stage_steps.cache_clear()
+    mallows._compositions.cache_clear()
+    mallows.distance_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        PartitionCache().row(n, l, class_key, p)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowBytes:
+    # p = 0.5 runs the program over the lattice key 2d + e; p = 0.731 over
+    # the (d, e) pair itself, whose table is wider.
+    @pytest.mark.parametrize("n,l", [(8, 4), (10, 4), (6, 9)])
+    def test_every_class_stays_within_the_estimate(self, n, l):
+        estimate = check_capacity(n, l)
+        for p in (0.5, 0.731):
+            for class_key in classes_of(n, l):
+                assert fresh_row_peak(n, l, class_key, p) <= estimate, (p, class_key)
+
+    def test_widest_fallback_table_at_n12(self):
+        assert fresh_row_peak(12, 4, (3, 3, 3, 3), 0.731) <= check_capacity(12, 4)
 
 
 def bucket_center(sizes):
@@ -169,6 +207,25 @@ class TestHistogram:
         d, e, mult = PartitionCache().histogram(4, 2**15, (1, 1, 1, 1))
         assert (mult > 0).all()
         assert int(mult.sum()) == 2**60
+
+
+class TestRow:
+    @pytest.mark.parametrize("n,l", [(8, 4), (6, 9)])
+    def test_equals_the_histogram_summed_onto_the_grid(self, n, l):
+        # p = 1/2, 3/4 and 1 run the program over the lattice key b d + a e
+        # (p = a / b); 0.6 and 0.731 over the key (P+1) d + e. Classes of
+        # fewer than n items give the restricted rows a fit uses.
+        cache = PartitionCache()
+        for p in (0.5, 0.75, 1.0, 0.6, 0.731):
+            grid = distance_grid(n, p)
+            for r in range(1, n + 1):
+                for class_key in classes_of(r, l):
+                    d, e, mult = cache.histogram(r, l, class_key)
+                    want = np.bincount(np.searchsorted(grid, d + p * e), weights=mult,
+                                       minlength=len(grid))
+                    got = cache.row(n, l, class_key, p)
+                    assert got.dtype == want.dtype, (p, class_key)
+                    assert got.tobytes() == want.tobytes(), (p, class_key)
 
 
 class TestStructuralClass:
