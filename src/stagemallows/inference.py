@@ -238,13 +238,19 @@ class _Evaluator:
         self._row_of: dict[tuple[int, ...], int] = {}
         self._center_stats: dict[tuple[int, ...], tuple] = {}
 
-    def _row(self, class_key: tuple[int, ...]) -> int:
-        """The index of the class's row, added on first use."""
-        index = self._row_of.get(class_key)
+    def _row(self, sizes: tuple[int, ...]) -> int:
+        """The index of the row of the class of these bucket sizes, added on
+        first use. The sizes are remembered with the class key, so a repeated
+        restriction costs one lookup."""
+        index = self._row_of.get(sizes)
         if index is None:
-            row = self.cache.row(self.n, self.l, class_key, self.cfg.p)
-            self._rows = np.vstack([self._rows, row])
-            index = self._row_of[class_key] = len(self._rows) - 1
+            class_key = class_of_sizes(sizes)
+            index = self._row_of.get(class_key)
+            if index is None:
+                row = self.cache.row(self.n, self.l, class_key, self.cfg.p)
+                self._rows = np.vstack([self._rows, row])
+                index = len(self._rows) - 1
+            self._row_of[sizes] = self._row_of[class_key] = index
         return index
 
     # -- per-center statistics -------------------------------------------
@@ -264,7 +270,7 @@ class _Evaluator:
         # buckets: the bucket sizes of its restriction, in order or reversed.
         class_key, _, bucket = center_buckets(center)
         sizes = self._group_items @ (bucket[:, np.newaxis] == np.arange(len(class_key)))
-        rows = np.array([self._row(class_of_sizes(group)) for group in sizes.tolist()])
+        rows = np.array([self._row(group) for group in map(tuple, sizes.tolist())])
 
         discordant, tied_one = pair_counts(signs, self._prior_signs)
         prior_d = int(discordant) + self.cfg.p * int(tied_one)

@@ -8,10 +8,13 @@ Kendall tau distance from a central ranking:
 where psi is the normalizing sum over all l^n assignments. Both psi and
 the exact sampler come from one dynamic program per structural class,
 which places the center's buckets in stage order and tracks how many
-items sit at each stage. For psi it counts the points per integer key of
-their d discordant and e tied-in-one pairs: b d + a e when p = a / b with
-b <= C(n, 2) + 1 (the lattice, where equal keys are equal distances; 2d + e
-at p = 1/2), else (C(n, 2) + 1) d + e, the pair itself. Those counts,
+items sit at each stage. Its steps are shared: placing a bucket of b items
+after m items over k stages is one cached step, whatever the class, so the
+215 classes of at most 10 items over 4 stages use 64 steps. For psi it
+counts the points per integer key of their d discordant and e tied-in-one
+pairs: b d + a e when p = a / b with b <= C(n, 2) + 1 (the lattice, where
+equal keys are equal distances; 2d + e at p = 1/2), else
+(C(n, 2) + 1) d + e, the pair itself. Those counts,
 summed onto the distance grid of n items, make every partition term one
 row over that grid, and log psi at a spread is
 log(row @ exp(-grid / spread)) (log_psi_rows). The sampler runs
@@ -84,6 +87,9 @@ def check_capacity(n: int, l: int, draws: int = 0) -> int:
     widest; the estimate is four such tables (the table, the one before it
     or its nonzero cells, and the scatter's index and value temporaries),
     plus 20 bytes per pair of pair lists and the n-by-l float64 marginals.
+    The program's steps, shared by every class and kept for the process
+    (_stage_step), are far smaller: all of them at n = 16, l = 4 hold about
+    17.8 MB, against an estimate of 454 MB.
     Each of `draws` rankings adds 512 + 128 n bytes for its arrays, Python
     rankings and dataset text; tracemalloc measured at most 1.1 KB per
     `simulate` respondent at n = 8, 4.6 KB at n = 40. n < 1 or l < 1 is not
@@ -159,37 +165,53 @@ class _Step:
     states: int
 
 
-# Few programs are kept: each row or histogram is built once, and each draw keeps
-# its class's program in PartitionCache._draw_terms. More held 4 MB at n=10, l=4.
-@lru_cache(maxsize=8)
-def _stage_steps(class_key: tuple[int, ...], k: int) -> tuple[tuple[_Step, ...], np.ndarray]:
-    """The stage-count program for buckets of sizes class_key, in order, over
-    k stages: one _Step per bucket, and the final states (one per row).
+@lru_cache(maxsize=None)
+def _placed_states(m: int, k: int) -> np.ndarray:
+    """Every state after m items are placed over k stages, one per row: each
+    composition u of m, ascending by the code sum_t u_t R^t for any radix
+    R > m, so the last stage counts most. That is _compositions' order
+    (ascending from the first stage) with each row reversed. The draw's
+    tables list states in this order, so it fixes the random stream."""
+    states = np.ascontiguousarray(_compositions(m, k)[0][:, ::-1])
+    states.setflags(write=False)
+    return states
 
-    The state u counts the items already placed at each stage. Placing a
-    bucket with composition v over the stages moves u to u + v and adds
+
+@lru_cache(maxsize=None)
+def _stage_step(m: int, b: int, k: int) -> _Step:
+    """Placing a bucket of b items over k stages after m items are placed.
+
+    It does not depend on the class: every composition of m is a state
+    after m items, whatever the buckets before, so classes share their
+    steps. Each composition v moves state u to u + v and adds
     sum_t v_t * sum_{t' > t} u_t' discordant pairs (a later bucket placed
     below an earlier one), sum_t v_t * u_t tied-one pairs across buckets,
     and the bucket's own pairs that v splits apart.
     """
-    n = sum(class_key)
-    radix = (n + 1) ** np.arange(k, dtype=np.int64)
-    states = np.zeros((1, k), dtype=np.int64)
-    steps = []
+    states, reached = _placed_states(m, k), _placed_states(m + b, k)
+    comps, below, mult, split = _compositions(b, k)
+    radix = (m + b + 1) ** np.arange(k, dtype=np.int64)
+    dest = (reached @ radix).searchsorted((states @ radix)[:, np.newaxis] + comps @ radix)
+    placed = np.repeat(np.tile(np.arange(k, dtype=np.int8), len(comps)), comps.ravel())
+    step = _Step(mult, dest, states @ below.T, states @ comps.T + split,
+                 placed.reshape(len(comps), b), len(reached))
+    for array in (step.dest, step.discordant, step.tied, step.stages):
+        array.setflags(write=False)
+    return step
+
+
+def _stage_steps(class_key: tuple[int, ...], k: int) -> tuple[tuple[_Step, ...], np.ndarray]:
+    """The stage-count program for buckets of sizes class_key, in order, over
+    k stages: one _Step per bucket, and the final states (one per row).
+
+    The state u counts the items already placed at each stage. The steps
+    are shared per (items placed, bucket size, k); see _stage_step.
+    """
+    steps, placed = [], 0
     for b in class_key:
-        comps, below, mult, split = _compositions(b, k)
-        codes, dest = np.unique((states @ radix)[:, np.newaxis] + comps @ radix,
-                                return_inverse=True)
-        placed = np.repeat(np.tile(np.arange(k, dtype=np.int8), len(comps)), comps.ravel())
-        steps.append(_Step(mult, dest.reshape(len(states), len(comps)), states @ below.T,
-                           states @ comps.T + split, placed.reshape(len(comps), b),
-                           len(codes)))
-        states = codes[:, np.newaxis] // radix % (n + 1)
-    for step in steps:
-        for array in (step.dest, step.discordant, step.tied, step.stages):
-            array.setflags(write=False)
-    states.setflags(write=False)
-    return tuple(steps), states
+        steps.append(_stage_step(placed, b, k))
+        placed += b
+    return tuple(steps), _placed_states(placed, k)
 
 
 def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int) -> np.ndarray:
@@ -234,12 +256,14 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
 def center_buckets(center: tuple[int, ...]) -> tuple[tuple[int, ...], bool, np.ndarray]:
     """The center's structural class, whether its buckets in stage order run
     against the class key, and each item's bucket in the key's order."""
-    _, bucket, sizes = np.unique(center, return_inverse=True, return_counts=True)
-    ordered = tuple(sizes.tolist())
+    # Counted over bucket ranks, not stage values, which run up to l.
+    rank = {stage: r for r, stage in enumerate(sorted(set(center)))}
+    bucket = np.array([rank[stage] for stage in center], dtype=np.intp)
+    ordered = tuple(np.bincount(bucket).tolist())
     class_key = class_of_sizes(ordered)
     flip = ordered != class_key
     if flip:
-        bucket = len(sizes) - 1 - bucket
+        bucket = len(rank) - 1 - bucket
     bucket.setflags(write=False)
     return class_key, flip, bucket
 
@@ -297,7 +321,8 @@ class PartitionCache:
     integer distance key (see row), without touching the l^n points, and
     it is cached per (n, l, p, class); log psi at any spread is then one
     log_psi_rows over that row, and nothing is cached per spread. The
-    histogram of (discordant, tied-in-one) pair counts is the same program
+    program's steps are shared by all classes and caches (see _stage_step).
+    The histogram of (discordant, tied-in-one) pair counts is the same program
     over the key (P+1) d + e. The exact sampler runs the program backward
     and samples forward through it; its edge distances, and the tables of
     the last spread drawn at, are cached per (l, p, class). Safe for

@@ -1,12 +1,15 @@
-"""Smoke test of the benchmark harness in perfbench/, run as a user runs it.
+"""Smoke tests of the benchmark harness in perfbench/ and of the row-layer
+harness scripts/time_rows.py, run as a user runs them.
 
 The traced run wraps PartitionCache.log_psi and PartitionCache.histogram by
 name and checks that the layers' self times add up to the traced wall
 time within 5%, so this test fails when a refactor of the package breaks
-the names the tracer patches or the harness's own checks.
+the names the tracer patches or the harness's own checks. time_rows.py
+clears the stage-count caches by name, so it breaks the same way.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +27,16 @@ def test_traced_large_run_is_correct_and_fails_nothing():
     summary = json.loads(result.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True, result.stdout
     assert summary["failed"] == 0, result.stdout
+
+
+def test_row_harness_times_every_space():
+    result = subprocess.run(
+        [sys.executable, "scripts/time_rows.py", "--repeats", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
+    )
+    assert result.returncode == 0, result.stderr
+    spaces = json.loads(result.stdout)["spaces"]
+    assert len(spaces) == 4
+    assert all(space["row_s"] > 0 for space in spaces), spaces

@@ -81,9 +81,8 @@ class TestByteGuard:
         }
         estimate = check_capacity(n, l)
         for class_key in sorted(classes):
-            # A fresh build: no cached program or compositions to reuse.
-            mallows._stage_steps.cache_clear()
-            mallows._compositions.cache_clear()
+            # A fresh build: no cached step, state list or compositions to reuse.
+            clear_program_caches()
             tracemalloc.start()
             try:
                 PartitionCache().histogram(n, l, class_key)
@@ -91,6 +90,12 @@ class TestByteGuard:
             finally:
                 tracemalloc.stop()
             assert peak <= estimate, class_key
+
+
+def clear_program_caches():
+    """Forget every cached stage-count step, state list and composition."""
+    for cached in (mallows._stage_step, mallows._placed_states, mallows._compositions):
+        cached.cache_clear()
 
 
 def classes_of(n, l):
@@ -105,8 +110,7 @@ def classes_of(n, l):
 
 def fresh_row_peak(n, l, class_key, p):
     """tracemalloc's peak over one row build with every cache cleared."""
-    mallows._stage_steps.cache_clear()
-    mallows._compositions.cache_clear()
+    clear_program_caches()
     mallows.distance_grid.cache_clear()
     tracemalloc.start()
     try:
@@ -128,6 +132,55 @@ class TestRowBytes:
 
     def test_widest_fallback_table_at_n12(self):
         assert fresh_row_peak(12, 4, (3, 3, 3, 3), 0.731) <= check_capacity(12, 4)
+
+    @pytest.mark.parametrize("n,l", [(8, 4), (10, 4), (6, 9)])
+    def test_a_fit_worth_of_rows_stays_within_the_estimate(self, n, l):
+        # As a fit meets them: one cache, and every class of r <= n items in
+        # turn, with the steps they share kept from class to class.
+        estimate = check_capacity(n, l)
+        for p in (0.5, 0.731):
+            clear_program_caches()
+            tracemalloc.start()
+            try:
+                cache = PartitionCache()
+                for r in range(1, n + 1):
+                    for class_key in classes_of(r, l):
+                        cache.row(n, l, class_key, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= estimate, p
+
+
+class TestStageStep:
+    def test_placed_states_are_every_composition_by_ascending_code(self):
+        for m, k in itertools.product(range(11), range(1, 5)):
+            states = mallows._placed_states(m, k)
+            codes = states @ (m + 1) ** np.arange(k)
+            assert len(states) == math.comb(m + k - 1, k - 1), (m, k)
+            assert (states >= 0).all() and (states.sum(axis=1) == m).all(), (m, k)
+            assert (np.diff(codes) > 0).all(), (m, k)
+
+    def test_moves_each_state_by_each_composition(self):
+        # Every step a class of at most 10 items over at most 4 stages uses.
+        for m, b, k in [(m, b, k) for k in range(1, 5) for m in range(10)
+                        for b in range(1, 11 - m)]:
+            step = mallows._stage_step(m, b, k)
+            before, after = mallows._placed_states(m, k), mallows._placed_states(m + b, k)
+            comps = mallows._compositions(b, k)[0]
+            assert step.states == len(after)
+            assert np.array_equal(after[step.dest], before[:, np.newaxis] + comps)
+            # The pairs the bucket adds, counted item by item: an earlier
+            # bucket's item placed at a later stage than one of this bucket's
+            # is discordant; one at the same stage is tied in one ranking, as
+            # is each pair of this bucket's items placed at different stages.
+            earlier = np.array([np.repeat(np.arange(k), u) for u in before]).reshape(len(before), m)
+            placed = np.array([np.repeat(np.arange(k), v) for v in comps])
+            assert np.array_equal(step.stages, placed)
+            across = earlier[:, np.newaxis, :, np.newaxis] - placed[np.newaxis, :, np.newaxis, :]
+            split = (placed[:, :, np.newaxis] != placed[:, np.newaxis, :]).sum(axis=(1, 2)) // 2
+            assert np.array_equal(step.discordant, (across > 0).sum(axis=(2, 3))), (m, b, k)
+            assert np.array_equal(step.tied, (across == 0).sum(axis=(2, 3)) + split), (m, b, k)
 
 
 def bucket_center(sizes):
@@ -226,6 +279,31 @@ class TestRow:
                     got = cache.row(n, l, class_key, p)
                     assert got.dtype == want.dtype, (p, class_key)
                     assert got.tobytes() == want.tobytes(), (p, class_key)
+
+
+def unique_buckets(center):
+    """center_buckets by its np.unique definition, the reference."""
+    _, bucket, sizes = np.unique(center, return_inverse=True, return_counts=True)
+    ordered = tuple(sizes.tolist())
+    class_key = mallows.class_of_sizes(ordered)
+    flip = ordered != class_key
+    return class_key, flip, len(sizes) - 1 - bucket if flip else bucket
+
+
+class TestCenterBuckets:
+    def test_matches_the_unique_definition(self):
+        rng = np.random.default_rng(5)
+        # Stage values run up to l, and check_capacity accepts l = 2^28 - 4
+        # at n = 1.
+        centers = [*itertools.product(range(1, 5), repeat=6),
+                   *map(tuple, rng.integers(1, 10, size=(500, 5)).tolist()),
+                   (2**28 - 4,), (3, 2**28 - 4, 3, 1)]
+        for center in centers:
+            class_key, flip, bucket = mallows.center_buckets(center)
+            want_key, want_flip, want_bucket = unique_buckets(center)
+            assert (class_key, flip) == (want_key, want_flip), center
+            assert bucket.dtype == want_bucket.dtype, center
+            assert np.array_equal(bucket, want_bucket), center
 
 
 class TestStructuralClass:
