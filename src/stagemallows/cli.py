@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import click
@@ -66,16 +66,6 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
     version: str = __version__
 
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "version": self.version,
-            "seed": self.seed,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-
 
 def _mapped_errors(fn):
     @functools.wraps(fn)
@@ -99,20 +89,33 @@ def _die(message: str, code: int):
     sys.exit(code)
 
 
+def _read_center_file(path: str, n: int, domain: StageDomain, what: str) -> CentralRanking:
+    """The ranking file's stages as a center of n items in the domain; a file
+    with unranked items, another item count or stages outside the domain is
+    a format error."""
+    stages, _ = read_ranking_file(path)
+    if any(v is MISSING for v in stages):
+        raise FormatError(f"{what} file {path} contains unranked items")
+    if len(stages) != n:
+        raise FormatError(f"{what} file {path} has {len(stages)} items, expected n={n}")
+    center = CentralRanking(tuple(stages))
+    try:
+        center.check_domain(domain)
+    except ValueError as err:
+        raise FormatError(f"{what} file {path}: {err}")
+    return center
+
+
 def _parse_center(text: str, n: int, l: int) -> CentralRanking:
     """--center accepts a comma list of internal stages or a ranking file."""
-    path = Path(text)
-    if path.exists():
-        stages, _ = read_ranking_file(path)
-        if any(v is MISSING for v in stages):
-            raise FormatError(f"center file {text} contains unranked items")
-    else:
-        try:
-            stages = [int(tok) for tok in text.split(",")]
-        except ValueError:
-            raise click.UsageError(
-                f"--center must be a ranking file or a comma list of stages, got {text!r}"
-            )
+    if Path(text).exists():
+        return _read_center_file(text, n, StageDomain(l), "center")
+    try:
+        stages = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise click.UsageError(
+            f"--center must be a ranking file or a comma list of stages, got {text!r}"
+        )
     if len(stages) != n:
         raise click.UsageError(f"--center has {len(stages)} entries, expected n={n}")
     center = CentralRanking(tuple(stages))
@@ -263,11 +266,11 @@ def cmd_simulate(n, l, spread, center, center_random, size, missing_pct,
             "n": n,
             "l": l,
             "censored_respondents": censored_ids,
-            "manifest": manifest.as_dict(),
+            "manifest": asdict(manifest),
         },
         out / "truth.json",
     )
-    write_json(manifest.as_dict(), out / "manifest.json")
+    write_json(asdict(manifest), out / "manifest.json")
     click.echo(
         f"wrote {size} respondents ({len(censored_ids)} censored) to {out / 'dataset.csv'}"
     )
@@ -279,22 +282,9 @@ def cmd_simulate(n, l, spread, center, center_random, size, missing_pct,
 def _resolve_prior_center(
     spec: str, ds: QuestionnaireDataset, rng: np.random.Generator
 ) -> CentralRanking:
-    n, l = ds.items.n, ds.stage_domain.l
     if spec == "uniform-random":
-        return _uniform_center(rng, n, l)
-    stages, _ = read_ranking_file(spec)
-    if any(v is MISSING for v in stages):
-        raise FormatError(f"prior center file {spec} contains unranked items")
-    if len(stages) != n:
-        raise FormatError(
-            f"prior center has {len(stages)} items, dataset has {n}"
-        )
-    center = CentralRanking(tuple(stages))
-    try:
-        center.check_domain(ds.stage_domain)
-    except ValueError as err:
-        raise FormatError(str(err))
-    return center
+        return _uniform_center(rng, ds.items.n, ds.stage_domain.l)
+    return _read_center_file(spec, ds.items.n, ds.stage_domain, "prior center")
 
 
 def _load_truth(
@@ -405,13 +395,13 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
     out_dir.mkdir(parents=True, exist_ok=True)
     write_fit_report(
         result, ds, out_dir / "report.json",
-        manifest=manifest.as_dict(), evaluation=evaluation,
+        manifest=asdict(manifest), evaluation=evaluation,
     )
     write_trace(result.trace, out_dir / "trace.ndjson")
     write_heatmap_svg(
-        result.marginals, ds, out_dir / "heatmap.svg", manifest=manifest.as_dict()
+        result.marginals, ds, out_dir / "heatmap.svg", manifest=asdict(manifest)
     )
-    write_json(manifest.as_dict(), out_dir / "manifest.json")
+    write_json(asdict(manifest), out_dir / "manifest.json")
 
     labels = [ds.external_label(v) for v in result.pi_map.stages]
     click.echo(f"MAP center (stage labels): {labels}")
@@ -511,7 +501,7 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
         )
     lines.append(f"mean,,{mean_mae!r},{mean_dp!r}")
     (out / "eval.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_json(manifest.as_dict(), out / "manifest.json")
+    write_json(asdict(manifest), out / "manifest.json")
 
     click.echo(f"{repeats} repeats: mean |lambda error| = {mean_mae:.4g}, "
                f"mean d_p to truth = {mean_dp:.4g}")

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import InitializationError
 from .mallows import (
     MallowsParams,
-    PartitionCache,
     center_buckets,
     check_capacity,
     class_of_sizes,
@@ -94,14 +93,12 @@ class PriorConfig:
                 f"pi_spread must be finite and positive when fixed, got {self.pi_spread}"
             )
 
-    def log_density(
-        self, prior_d: float, spread: float, l: int, p: float, cache: PartitionCache
-    ) -> float:
+    def log_density(self, prior_d: float, spread: float, l: int, p: float) -> float:
         """log p(center | spread) + log p(spread), for a center at d_p = prior_d."""
         if spread <= 0:
             return -math.inf
         pi_spread = self.pi_spread if self.pi_spread is not None else spread
-        pi_term = -prior_d / pi_spread - cache.log_psi(
+        pi_term = -prior_d / pi_spread - default_cache().log_psi(
             self.center.n, l, structural_class(self.center), p, pi_spread
         )
         return log_truncated_normal(spread, self.lambda_scale) + pi_term
@@ -194,7 +191,6 @@ class _Evaluator:
         domain: StageDomain,
         prior: PriorConfig,
         cfg: DistanceConfig,
-        cache: PartitionCache,
     ):
         if len(data) == 0:
             raise ValueError("dataset is empty")
@@ -213,7 +209,6 @@ class _Evaluator:
         self.n = n
         self.l = domain.l
         self.cfg = cfg
-        self.cache = cache
         self.prior = prior
 
         stages = np.array(
@@ -247,7 +242,7 @@ class _Evaluator:
             class_key = class_of_sizes(sizes)
             index = self._row_of.get(class_key)
             if index is None:
-                row = self.cache.row(self.n, self.l, class_key, self.cfg.p)
+                row = default_cache().row(self.n, self.l, class_key, self.cfg.p)
                 self._rows = np.vstack([self._rows, row])
                 index = len(self._rows) - 1
             self._row_of[sizes] = self._row_of[class_key] = index
@@ -289,7 +284,7 @@ class _Evaluator:
         return float(-total_d / spread - self._group_counts @ self.log_psi(rows, spread))
 
     def log_prior(self, stats: tuple, spread: float) -> float:
-        return self.prior.log_density(stats[2], spread, self.l, self.cfg.p, self.cache)
+        return self.prior.log_density(stats[2], spread, self.l, self.cfg.p)
 
     def log_posterior(self, stats: tuple, spread: float) -> float:
         return self.log_likelihood(stats, spread) + self.log_prior(stats, spread)
@@ -300,11 +295,9 @@ def _evaluate(
     params: MallowsParams,
     prior: PriorConfig,
     cfg: DistanceConfig,
-    cache: PartitionCache | None,
 ) -> tuple[_Evaluator, tuple]:
     """One evaluator over data and prior, and the statistics of params' center."""
-    cache = cache if cache is not None else default_cache()
-    ev = _Evaluator(data, params.domain, prior, cfg, cache)
+    ev = _Evaluator(data, params.domain, prior, cfg)
     if params.n != ev.n:
         raise ValueError(f"model has {params.n} items, data has {ev.n}")
     return ev, ev.center_stats(params.center.stages)
@@ -314,7 +307,6 @@ def log_likelihood(
     data: Sequence[PartialRanking],
     params: MallowsParams,
     cfg: DistanceConfig = DistanceConfig(),
-    cache: PartitionCache | None = None,
 ) -> float:
     """Sum of per-respondent log densities under the given model.
 
@@ -323,7 +315,7 @@ def log_likelihood(
     ranked (see module docstring).
     """
     prior = PriorConfig(center=params.center)
-    ev, stats = _evaluate(data, params, prior, cfg, cache)
+    ev, stats = _evaluate(data, params, prior, cfg)
     return ev.log_likelihood(stats, params.spread)
 
 
@@ -331,16 +323,14 @@ def log_prior(
     params: MallowsParams,
     prior: PriorConfig,
     cfg: DistanceConfig = DistanceConfig(),
-    cache: PartitionCache | None = None,
 ) -> float:
     """Log of p(center | spread) p(spread) under the joint prior."""
-    cache = cache if cache is not None else default_cache()
     if prior.center.n != params.n:
         raise ValueError(
             f"prior center has {prior.center.n} items, model has {params.n}"
         )
     prior_d = kendall_tau_partial(params.center, prior.center, cfg)
-    return prior.log_density(prior_d, params.spread, params.l, cfg.p, cache)
+    return prior.log_density(prior_d, params.spread, params.l, cfg.p)
 
 
 def log_posterior(
@@ -348,10 +338,9 @@ def log_posterior(
     params: MallowsParams,
     prior: PriorConfig,
     cfg: DistanceConfig = DistanceConfig(),
-    cache: PartitionCache | None = None,
 ) -> float:
     """Unnormalized log posterior: log likelihood plus log prior."""
-    ev, stats = _evaluate(data, params, prior, cfg, cache)
+    ev, stats = _evaluate(data, params, prior, cfg)
     return ev.log_posterior(stats, params.spread)
 
 
@@ -370,7 +359,6 @@ def mcmc_fit(
     prior: PriorConfig,
     mcmc: McmcConfig = McmcConfig(),
     cfg: DistanceConfig = DistanceConfig(),
-    cache: PartitionCache | None = None,
 ) -> FitResult:
     """Run the Metropolis-within-Gibbs chain and return the MAP sample.
 
@@ -382,10 +370,11 @@ def mcmc_fit(
     functions. Then it proposes a new spread from a truncated normal
     random walk (with the matching truncation correction). A proposal
     scale of zero disables the spread move, pinning the spread at its
-    initial value.
+    initial value. The retained samples count as draws for check_capacity,
+    which refuses a chain whose trace would not fit before it starts.
     """
-    cache = cache if cache is not None else default_cache()
-    ev = _Evaluator(data, domain, prior, cfg, cache)
+    ev = _Evaluator(data, domain, prior, cfg)
+    check_capacity(ev.n, ev.l, draws=mcmc.retained)
     rng = np.random.default_rng(mcmc.seed)
 
     start = mcmc.start_center if mcmc.start_center is not None else prior.center
@@ -421,7 +410,7 @@ def mcmc_fit(
 
     for t in range(1, mcmc.iterations + 1):
         # Center move: draw from Mallows(center, spread), exact.
-        (proposed,) = cache.draw(center, ev.l, cfg.p, spread, rng, 1)
+        (proposed,) = default_cache().draw(center, ev.l, cfg.p, spread, rng, 1)
         stats_new = ev.center_stats(proposed)
         log_post_new = ev.log_posterior(stats_new, spread)
         log_psi, log_psi_new = ev.log_psi([stats[3], stats_new[3]], spread)

@@ -76,8 +76,9 @@ class QuestionnaireDataset:
 
 
 def _whole(value) -> int:
-    """int(value), refusing a number that int() would truncate (2.5, but not 2.0)."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a number that int() would truncate (2.5, but not
+    2.0) and a JSON boolean, which int() would read as 0 or 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 

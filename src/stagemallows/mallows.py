@@ -21,7 +21,8 @@ log(row @ exp(-grid / spread)) (log_psi_rows). The sampler runs
 the program backward at the requested spread and samples forward through
 it. Neither touches the l^n points. Both sit behind one capacity rule
 (check_capacity), which bounds the program's own tables and keeps its
-integer counts exact.
+integer counts exact. The rows and the draw tables are kept per process,
+like the steps, in one PartitionCache (default_cache).
 """
 
 from __future__ import annotations
@@ -92,8 +93,10 @@ def check_capacity(n: int, l: int, draws: int = 0) -> int:
     17.8 MB, against an estimate of 454 MB.
     Each of `draws` rankings adds 512 + 128 n bytes for its arrays, Python
     rankings and dataset text; tracemalloc measured at most 1.1 KB per
-    `simulate` respondent at n = 8, 4.6 KB at n = 40. n < 1 or l < 1 is not
-    a space (ValueError).
+    `simulate` respondent at n = 8, 4.6 KB at n = 40. A chain's retained
+    samples are draws too: trace rows and trace text took 350, 409, 491 and
+    733 bytes each at n = 2, 8, 16 and 40. n < 1 or l < 1 is not a space
+    (ValueError).
     """
     if n < 1 or l < 1:
         raise ValueError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
@@ -321,12 +324,14 @@ class PartitionCache:
     integer distance key (see row), without touching the l^n points, and
     it is cached per (n, l, p, class); log psi at any spread is then one
     log_psi_rows over that row, and nothing is cached per spread. The
-    program's steps are shared by all classes and caches (see _stage_step).
+    program's steps are shared by all classes (see _stage_step).
     The histogram of (discordant, tied-in-one) pair counts is the same program
     over the key (P+1) d + e. The exact sampler runs the program backward
     and samples forward through it; its edge distances, and the tables of
     the last spread drawn at, are cached per (l, p, class). Safe for
-    concurrent use; racing writers recompute identical values.
+    concurrent use; racing writers recompute identical values. The process
+    keeps one instance (default_cache), like the steps; a new instance
+    builds its rows and tables afresh.
     """
 
     def __init__(self):
@@ -490,40 +495,31 @@ _DEFAULT_CACHE = PartitionCache()
 
 
 def default_cache() -> PartitionCache:
-    """The process-wide cache used when callers do not supply one."""
+    """The process's one PartitionCache, read at each call: every partition
+    term and draw goes through it."""
     return _DEFAULT_CACHE
 
 
-def log_partition_function(
-    params: MallowsParams,
-    cfg: DistanceConfig = DistanceConfig(),
-    cache: PartitionCache | None = None,
-) -> float:
-    cache = cache if cache is not None else _DEFAULT_CACHE
-    return cache.log_psi(
+def log_partition_function(params: MallowsParams, cfg: DistanceConfig = DistanceConfig()) -> float:
+    return default_cache().log_psi(
         params.n, params.l, structural_class(params.center), cfg.p, params.spread
     )
 
 
-def partition_function(
-    params: MallowsParams,
-    cfg: DistanceConfig = DistanceConfig(),
-    cache: PartitionCache | None = None,
-) -> float:
+def partition_function(params: MallowsParams, cfg: DistanceConfig = DistanceConfig()) -> float:
     """psi(spread) = sum over {1..l}^n of exp(-d_p(x, center) / spread).
 
     psi always lies in [1, l^n], so returning it in natural scale is safe;
     it is the center's row over the distance grid times the weights
     exp(-grid / spread) (log_psi_rows).
     """
-    return math.exp(log_partition_function(params, cfg, cache))
+    return math.exp(log_partition_function(params, cfg))
 
 
 def log_pmf(
     x: CentralRanking,
     params: MallowsParams,
     cfg: DistanceConfig = DistanceConfig(),
-    cache: PartitionCache | None = None,
 ) -> float:
     """Log-probability of a complete ranking under the model.
 
@@ -536,13 +532,12 @@ def log_pmf(
         raise ValueError("log_pmf needs a complete ranking (no missing entries)")
     x.check_domain(params.domain)
     d = kendall_tau_partial(x, params.center, cfg)
-    return -d / params.spread - log_partition_function(params, cfg, cache)
+    return -d / params.spread - log_partition_function(params, cfg)
 
 
 def sample(
     params: MallowsParams,
     cfg: DistanceConfig = DistanceConfig(),
-    cache: PartitionCache | None = None,
     rng: np.random.Generator | None = None,
     count: int = 1,
 ) -> list[CentralRanking]:
@@ -553,6 +548,5 @@ def sample(
         raise ValueError(f"count must be >= 1, got {count}")
     check_capacity(params.n, params.l, draws=count)
     rng = rng if rng is not None else np.random.default_rng()
-    cache = cache if cache is not None else _DEFAULT_CACHE
-    draws = cache.draw(params.center.stages, params.l, cfg.p, params.spread, rng, count)
+    draws = default_cache().draw(params.center.stages, params.l, cfg.p, params.spread, rng, count)
     return [CentralRanking(stages) for stages in draws]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mallows import MallowsParams, PartitionCache, sample
+from .mallows import MallowsParams, sample
 from .rankings import MISSING, DistanceConfig, PartialRanking
 
 
@@ -67,9 +67,7 @@ def _censor(
 
 
 def generate(
-    cfg: SynthConfig,
-    dist_cfg: DistanceConfig = DistanceConfig(),
-    cache: PartitionCache | None = None,
+    cfg: SynthConfig, dist_cfg: DistanceConfig = DistanceConfig()
 ) -> tuple[list[PartialRanking], MallowsParams]:
     """Draw a dataset from the ground truth and censor part of it.
 
@@ -78,7 +76,7 @@ def generate(
     generating parameters.
     """
     rng = np.random.default_rng(cfg.seed)
-    complete = sample(cfg.truth, dist_cfg, cache, rng=rng, count=cfg.size)
+    complete = sample(cfg.truth, dist_cfg, rng=rng, count=cfg.size)
     responses: list[PartialRanking] = [r.as_partial() for r in complete]
 
     n_censored = _round_half_up(cfg.missing_percent * cfg.size / 100.0)

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from scipy import stats
 
@@ -17,7 +18,6 @@ from stagemallows.inference import McmcConfig, PriorConfig, mcmc_fit
 from stagemallows.io import demo_dataset_path, item_response_rates, read_dataset
 from stagemallows.mallows import (
     MallowsParams,
-    PartitionCache,
     log_pmf,
     partition_function,
     sample,
@@ -53,14 +53,14 @@ def _random_cases(count: int, seed: int):
         yield n, l, spread, center
 
 
+@pytest.mark.usefixtures("fresh_partition_cache")
 def test_criterion_1_psi_oracle_equivalence():
     """partition_function matches naive enumeration to 1e-10 relative."""
     started = time.time()
-    cache = PartitionCache()
     worst = 0.0
     for n, l, spread, center in _random_cases(50, seed=101):
         params = MallowsParams(CentralRanking(center), spread, StageDomain(l))
-        got = partition_function(params, cache=cache)
+        got = partition_function(params)
         want = naive_psi(center, l, spread)
         worst = max(worst, abs(got - want) / want)
     elapsed = time.time() - started
@@ -71,16 +71,16 @@ def test_criterion_1_psi_oracle_equivalence():
     assert elapsed < 10.0
 
 
+@pytest.mark.usefixtures("fresh_partition_cache")
 def test_criterion_2_pmf_normalization_and_mode():
     """exp(log_pmf) sums to 1 +- 1e-10 and the center attains the maximum."""
     started = time.time()
-    cache = PartitionCache()
     worst_norm = 0.0
     mode_ok = True
     for n, l, spread, center in _random_cases(50, seed=202):
         params = MallowsParams(CentralRanking(center), spread, StageDomain(l))
         values = {
-            x.stages: log_pmf(x, params, cache=cache) for x in map(CentralRanking, full_space(n, l))
+            x.stages: log_pmf(x, params) for x in map(CentralRanking, full_space(n, l))
         }
         total = sum(math.exp(v) for v in values.values())
         worst_norm = max(worst_norm, abs(total - 1.0))
@@ -189,6 +189,7 @@ def test_criterion_5_exact_posterior_agreement():
     assert tv <= 0.02
 
 
+@pytest.mark.usefixtures("fresh_partition_cache")
 def test_criterion_6_recovery_at_survey_scale():
     """Recovery over 12 repeats at M=100, n=8, l=4, center [1,2,2,3,3,3,3,4].
 
@@ -201,7 +202,6 @@ def test_criterion_6_recovery_at_survey_scale():
     center = CentralRanking((1, 2, 2, 3, 3, 3, 3, 4))
     domain = StageDomain(4)
     cfg = DistanceConfig()
-    cache = PartitionCache()
 
     def run_row(lam0, missing_pct, seed):
         rng = np.random.default_rng(seed)
@@ -220,7 +220,6 @@ def test_criterion_6_recovery_at_survey_scale():
                     seed=synth_seed,
                 ),
                 cfg,
-                cache,
             )
             mcmc = McmcConfig(
                 iterations=1500,
@@ -230,7 +229,7 @@ def test_criterion_6_recovery_at_survey_scale():
                 start_center=start,
             )
             started = time.time()
-            result = mcmc_fit(data, domain, PriorConfig(center=center), mcmc, cfg, cache)
+            result = mcmc_fit(data, domain, PriorConfig(center=center), mcmc, cfg)
             worst_repeat = max(worst_repeat, time.time() - started)
             assert len(result.trace) == 1000
             maes.append(abs(result.lambda_map - lam0))

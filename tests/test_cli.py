@@ -133,6 +133,21 @@ class TestSimulate:
         assert "Traceback" not in result.output
         assert "1000000000000 draws" in result.output
 
+    # 10^12 retained samples: the chain's trace is refused before it starts.
+    @pytest.mark.parametrize("args", [
+        ["fit", "--data", str(demo_dataset_path()), "--prior-center", "uniform-random",
+         "--out-dir"],
+        ["eval", "--n", "3", "--l", "2", "--lambda", "1", "--center-random", "--M", "5",
+         "--out"],
+    ], ids=["fit", "eval"])
+    def test_retained_sample_capacity_exit_code(self, runner, tmp_path, args):
+        result = runner.invoke(
+            cli, args + [str(tmp_path / "x"), "--iterations", "1000000000000"]
+        )
+        assert result.exit_code == 3, result.output
+        assert "Traceback" not in result.output
+        assert "999999999500 draws" in result.output
+
 
 class TestFit:
     def fit_args(self, data, out, extra=()):
@@ -360,6 +375,12 @@ _INVALID_FILES = {
     "l-2.5.meta.json": '{"items": ["a", "b", "c"], "l": 2.5, "stage_label_offset": 1}',
     "offset-1.5.csv": _DATA,
     "offset-1.5.meta.json": '{"items": ["a", "b", "c"], "l": 2, "stage_label_offset": 1.5}',
+    # JSON booleans, which int() would read as 1: l = 1 fits this data.
+    "stage-true.json": '{"stages": [true, 2, 3]}',
+    "offset-true.json": '{"stages": [1, 2, 1], "stage_label_offset": true}',
+    "stages-111.json": '{"stages": [1, 1, 1]}',
+    "l-true.csv": "respondent_id,item,stage\nR1,a,1\nR1,b,1\nR1,c,1\n",
+    "l-true.meta.json": '{"items": ["a", "b", "c"], "l": true, "stage_label_offset": 1}',
 }
 
 
@@ -386,6 +407,9 @@ _INVALID_FILES = {
          "--center", "file:stage-1.7.json"],
         ["fit", "--data", "file:l-2.5.csv", "--prior-center", "file:stages-121.json"],
         ["fit", "--data", "file:offset-1.5.csv", "--prior-center", "file:stages-121.json"],
+        ["distance", "file:stage-true.json", "file:stages-121.json"],
+        ["distance", "file:offset-true.json", "file:stages-121.json"],
+        ["fit", "--data", "file:l-true.csv", "--prior-center", "file:stages-111.json"],
     ],
     ids=[
         "min-response-rate-above-one",
@@ -403,6 +427,9 @@ _INVALID_FILES = {
         "non-integral-center-file",
         "non-integral-sidecar-l",
         "non-integral-sidecar-offset",
+        "boolean-stage",
+        "boolean-offset",
+        "boolean-sidecar-l",
     ],
 )
 def test_invalid_input_exits_two_without_traceback(runner, tmp_path, args):

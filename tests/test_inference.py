@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stagemallows import mallows
 from stagemallows.errors import InitializationError
 from stagemallows.inference import (
     McmcConfig,
@@ -15,7 +16,7 @@ from stagemallows.inference import (
     mcmc_fit,
     stage_marginals,
 )
-from stagemallows.mallows import MallowsParams, PartitionCache, partition_function
+from stagemallows.mallows import MallowsParams, PartitionCache, partition_function, sample
 from stagemallows.rankings import CentralRanking, DistanceConfig, PartialRanking, StageDomain
 from stagemallows.synth import SynthConfig, generate
 
@@ -107,43 +108,41 @@ class TestLogLikelihood:
 
 
 class TestLogPrior:
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_modal_center_term(self):
         prior = PriorConfig(center=central(1, 2, 2))
         p = params([1, 2, 2], 1.0, 3)
-        cache = PartitionCache()
-        got = log_prior(p, prior, cache=cache)
-        want = log_truncated_normal(1.0) - math.log(
-            partition_function(p, cache=cache)
-        )
+        got = log_prior(p, prior)
+        want = log_truncated_normal(1.0) - math.log(partition_function(p))
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_center_prior_is_maximal_at_prior_center(self):
         prior = PriorConfig(center=central(1, 2, 3))
-        cache = PartitionCache()
-        at_center = log_prior(params([1, 2, 3], 1.0, 3), prior, cache=cache)
+        at_center = log_prior(params([1, 2, 3], 1.0, 3), prior)
         for stages in full_space(3, 3):
-            other = log_prior(params(stages, 1.0, 3), prior, cache=cache)
+            other = log_prior(params(stages, 1.0, 3), prior)
             assert other <= at_center + 1e-12
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_fixed_spread_decouples(self):
         prior = PriorConfig(center=central(1, 2), pi_spread=2.0)
-        cache = PartitionCache()
-        a = log_prior(params([2, 1], 0.5, 2), prior, cache=cache)
-        b = log_prior(params([2, 1], 3.0, 2), prior, cache=cache)
+        a = log_prior(params([2, 1], 0.5, 2), prior)
+        b = log_prior(params([2, 1], 3.0, 2), prior)
         # Only the truncated-normal term may differ when the pi spread is fixed.
         assert a - log_trunc_normal(0.5) == pytest.approx(
             b - log_trunc_normal(3.0), rel=1e-12
         )
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_coupled_prior_concentration_limit(self):
         # As the spread shrinks, the center prior collapses onto the prior
         # center: the center term goes to 0 there and to -inf elsewhere.
         prior = PriorConfig(center=central(1, 2))
-        cache = PartitionCache()
         tiny = 1e-3
-        at_center = log_prior(params([1, 2], tiny, 2), prior, cache=cache)
+        at_center = log_prior(params([1, 2], tiny, 2), prior)
         assert at_center - log_trunc_normal(tiny) == pytest.approx(0.0, abs=1e-12)
-        elsewhere = log_prior(params([2, 1], tiny, 2), prior, cache=cache)
+        elsewhere = log_prior(params([2, 1], tiny, 2), prior)
         assert elsewhere < -100
 
     def test_matches_naive_posterior_factorization(self):
@@ -193,15 +192,25 @@ class TestMcmcFit:
         assert np.array_equal(a.trace.spreads, b.trace.spreads)
         assert np.array_equal(a.trace.log_posteriors, b.trace.log_posteriors)
 
-    def test_shared_and_private_caches_agree(self):
+    def test_warm_and_cold_caches_agree(self, monkeypatch):
+        # The first fit builds its rows and draw tables in a fresh process
+        # cache. The second finds them there, with each class's tables at the
+        # spread the first left them, and the third finds the start center's
+        # tables at another spread; both must make the very same draws.
         data, truth = _synthetic(3, 3, 0.7, 12, seed=2)
         prior = PriorConfig(center=truth.center)
         mcmc = McmcConfig(iterations=200, burn_in=100, seed=3)
-        shared = PartitionCache()
-        a = mcmc_fit(data, truth.domain, prior, mcmc, cache=shared)
-        b = mcmc_fit(data, truth.domain, prior, mcmc, cache=PartitionCache())
-        assert a.pi_map == b.pi_map
-        assert np.array_equal(a.trace.spreads, b.trace.spreads)
+        monkeypatch.setattr(mallows, "_DEFAULT_CACHE", PartitionCache())
+        cold = mcmc_fit(data, truth.domain, prior, mcmc)
+        warm = mcmc_fit(data, truth.domain, prior, mcmc)
+        monkeypatch.setattr(mallows, "_DEFAULT_CACHE", PartitionCache())
+        sample(MallowsParams(truth.center, 3.0, truth.domain))
+        drawn_at_3 = mcmc_fit(data, truth.domain, prior, mcmc)
+        for fit in (warm, drawn_at_3):
+            assert np.array_equal(cold.trace.centers, fit.trace.centers)
+            assert np.array_equal(cold.trace.spreads, fit.trace.spreads)
+            assert np.array_equal(cold.trace.log_posteriors, fit.trace.log_posteriors)
+            assert cold.trace.acceptance_rates == fit.trace.acceptance_rates
 
     def test_recovers_center_from_clean_concentrated_data(self):
         data, truth = _synthetic(5, 3, 0.1, 100, seed=7)

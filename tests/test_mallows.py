@@ -332,18 +332,19 @@ class TestPartitionFunction:
             expected, rel=1e-12
         )
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
-        cache = PartitionCache()
         for _ in range(40):
             n = int(rng.integers(1, 6))
             l = int(rng.integers(1, 5))
             spread = float(rng.choice([0.3, 1.0, 3.0]))
             center = tuple(int(v) for v in rng.integers(1, l + 1, n))
-            got = partition_function(params(center, spread, l), cache=cache)
+            got = partition_function(params(center, spread, l))
             want = naive_psi(center, l, spread)
             assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_flat_limit(self):
         assert partition_function(params([1, 2, 2], 1e9, 3)) == pytest.approx(
             27.0, rel=1e-6
@@ -353,7 +354,7 @@ class TestPartitionFunction:
         # 1e-300, and every one of the 3^2 points keeps all of it at 1e300.
         for spread, points in ((1e-300, 3), (1e300, 9)):
             p = params([1, 2], spread, 3)
-            assert log_partition_function(p, cache=PartitionCache()) == pytest.approx(
+            assert log_partition_function(p) == pytest.approx(
                 math.log(points), rel=1e-12
             )
 
@@ -368,7 +369,7 @@ class TestPartitionFunction:
 
     def test_capacity_error_propagates(self):
         with pytest.raises(CapacityError):
-            partition_function(params([1] * 30, 1.0, 4), cache=PartitionCache())
+            partition_function(params([1] * 30, 1.0, 4))
 
 
 class TestPartitionCache:
@@ -381,53 +382,52 @@ class TestPartitionCache:
         ] + [((1, 1, 2), 4, s) for s in (0.3, 0.9, 2.0)]
         results = [dict() for _ in range(8)]
 
+        def log_psi(cache, center, l, spread):
+            return cache.log_psi(len(center), l, structural_class(center), 0.5, spread)
+
         def worker(slot):
-            for center, l, spread in cases:
-                p = params(center, spread, l)
-                results[slot][(center, l, spread)] = partition_function(p, cache=cache)
+            for case in cases:
+                results[slot][case] = log_psi(cache, *case)
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        solo = {
-            (center, l, spread): partition_function(
-                params(center, spread, l), cache=PartitionCache()
-            )
-            for center, l, spread in cases
-        }
+            t.join(timeout=60)
+            assert not t.is_alive()
+        solo = {case: log_psi(PartitionCache(), *case) for case in cases}
         for got in results:
             assert got == solo
 
-    def test_cached_equals_recomputed(self):
-        cache = PartitionCache()
+    @pytest.mark.usefixtures("fresh_partition_cache")
+    def test_cached_equals_recomputed(self, monkeypatch):
         p = params([1, 2, 2, 3], 0.7, 3)
-        first = partition_function(p, cache=cache)
-        again = partition_function(p, cache=cache)
-        fresh = partition_function(p, cache=PartitionCache())
+        first = partition_function(p)
+        again = partition_function(p)
+        monkeypatch.setattr(mallows, "_DEFAULT_CACHE", PartitionCache())
+        fresh = partition_function(p)
         assert first == again
         assert first == pytest.approx(fresh, rel=1e-12)
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_shared_across_relabelings(self):
-        cache = PartitionCache()
         a = params([1, 2, 2], 1.0, 3)
         b = params([2, 1, 2], 1.0, 3)  # item permutation of a
-        assert partition_function(a, cache=cache) == pytest.approx(
-            partition_function(b, cache=cache), rel=1e-12
+        assert partition_function(a) == pytest.approx(
+            partition_function(b), rel=1e-12
         )
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_relabel_invariance_property(self):
         rng = np.random.default_rng(17)
-        cache = PartitionCache()
         for _ in range(25):
             n = int(rng.integers(2, 6))
             l = int(rng.integers(1, 5))
             center = [int(v) for v in rng.integers(1, l + 1, n)]
             perm = rng.permutation(n)
             permuted = [center[k] for k in perm]
-            a = partition_function(params(center, 1.0, l), cache=cache)
-            b = partition_function(params(permuted, 1.0, l), cache=cache)
+            a = partition_function(params(center, 1.0, l))
+            b = partition_function(params(permuted, 1.0, l))
             assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -437,41 +437,41 @@ class TestLogPmf:
         psi = partition_function(p)
         assert log_pmf(p.center, p) == pytest.approx(-math.log(psi), rel=1e-12)
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_normalization(self):
         rng = np.random.default_rng(29)
-        cache = PartitionCache()
         for _ in range(20):
             n = int(rng.integers(1, 6))
             l = int(rng.integers(1, 5))
             spread = float(rng.choice([0.3, 1.0, 3.0]))
             p = params([int(v) for v in rng.integers(1, l + 1, n)], spread, l)
             total = sum(
-                math.exp(log_pmf(x, p, cache=cache)) for x in map(CentralRanking, full_space(n, l))
+                math.exp(log_pmf(x, p)) for x in map(CentralRanking, full_space(n, l))
             )
             assert total == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_center_is_a_mode(self):
         rng = np.random.default_rng(31)
-        cache = PartitionCache()
         for _ in range(20):
             n = int(rng.integers(2, 6))
             l = int(rng.integers(2, 5))
             p = params([int(v) for v in rng.integers(1, l + 1, n)], 1.0, l)
-            best = max(log_pmf(x, p, cache=cache) for x in map(CentralRanking, full_space(n, l)))
-            assert log_pmf(p.center, p, cache=cache) == pytest.approx(best, abs=1e-12)
+            best = max(log_pmf(x, p) for x in map(CentralRanking, full_space(n, l)))
+            assert log_pmf(p.center, p) == pytest.approx(best, abs=1e-12)
 
     def test_uniform_limit(self):
         p = params([1, 2], 1e6, 2)
         for x in map(CentralRanking, full_space(2, 2)):
             assert log_pmf(x, p) == pytest.approx(math.log(0.25), abs=1e-3)
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_values_match_naive_pmf(self):
         center = (1, 3, 2)
         p = params(center, 0.7, 3)
-        cache = PartitionCache()
         want = naive_pmf(center, 3, 0.7)
         for x in map(CentralRanking, full_space(3, 3)):
-            assert math.exp(log_pmf(x, p, cache=cache)) == pytest.approx(
+            assert math.exp(log_pmf(x, p)) == pytest.approx(
                 want[x.stages], rel=1e-10
             )
 
@@ -536,25 +536,24 @@ class TestSample:
         draws = sample(params([1, 1, 1], 0.5, 1), rng=np.random.default_rng(2), count=50)
         assert {r.stages for r in draws} == {(1, 1, 1)}
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_batched_and_single_draws_follow_one_law(self):
         p = params([1, 2, 2, 3], 0.8, 3)
-        cache = PartitionCache()
-        batch = sample(p, cache=cache, rng=np.random.default_rng(5), count=10_000)
+        batch = sample(p, rng=np.random.default_rng(5), count=10_000)
         rng = np.random.default_rng(6)
-        singles = [sample(p, cache=cache, rng=rng)[0] for _ in range(10_000)]
+        singles = [sample(p, rng=rng)[0] for _ in range(10_000)]
         a, b = Counter(r.stages for r in batch), Counter(r.stages for r in singles)
         cells = sorted(set(a) | set(b))
         table = np.array([[a[x] for x in cells], [b[x] for x in cells]])
         table = table[:, table.sum(axis=0) >= 10]
         assert stats.chi2_contingency(table).pvalue > 0.001
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_one_large_draw_allocates_little(self):
         # 4^10 points: an enumerating draw would allocate tens of MB here.
-        cache = PartitionCache()
         tracemalloc.start()
         try:
-            sample(params([1, 1, 2, 2, 2, 3, 3, 3, 4, 4], 1.0, 4), cache=cache,
-                   rng=np.random.default_rng(0))
+            sample(params([1, 1, 2, 2, 2, 3, 3, 3, 4, 4], 1.0, 4), rng=np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stagemallows.mallows import MallowsParams, PartitionCache
+from stagemallows.mallows import MallowsParams
 from stagemallows.rankings import (
     MISSING,
     CentralRanking,
@@ -111,14 +111,13 @@ class TestGenerate:
         )
         assert all(r.r >= 1 for r in data)
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_mean_distance_monotone_in_spread(self):
-        cache = PartitionCache()
         cfg_d = DistanceConfig()
         means = []
         for spread in (0.5, 1.0, 2.0):
             data, params = generate(
-                SynthConfig(truth=truth(TABLE_CENTER, spread, 4), size=10_000, seed=41),
-                cache=cache,
+                SynthConfig(truth=truth(TABLE_CENTER, spread, 4), size=10_000, seed=41)
             )
             d = np.mean(
                 [kendall_tau_partial(r, params.center, cfg_d) for r in data]
