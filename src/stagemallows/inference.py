@@ -12,13 +12,21 @@ over the assignments of those items alone, so it is a proper likelihood
 for what was observable. Every such normalizer is a row over the distance
 grid of n items (mallows.log_psi_rows), so the likelihood at a spread is
 one vector of weights over that grid and one small matrix product.
+
+A chain iteration's work depends neither on the number of respondents nor
+on how often a spread recurs. The respondents are reduced once to per-pair
+sign tallies and observed-item groups, so a new center's distance to the
+data is one gather over the item pairs. Each move evaluates the partition
+terms of its proposed state, the likelihood's, the prior's and the
+proposal ratio's, in one log_psi_rows call, and the chain carries those of
+its current state.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -93,14 +101,16 @@ class PriorConfig:
                 f"pi_spread must be finite and positive when fixed, got {self.pi_spread}"
             )
 
-    def log_density(self, prior_d: float, spread: float, l: int, p: float) -> float:
-        """log p(center | spread) + log p(spread), for a center at d_p = prior_d."""
+    def center_spread(self, spread: float) -> float:
+        """The spread of the center's Mallows prior at this model spread."""
+        return self.pi_spread if self.pi_spread is not None else spread
+
+    def log_density(self, prior_d: float, spread: float, log_psi: float) -> float:
+        """log p(center | spread) + log p(spread), for a center at d_p = prior_d;
+        log_psi is log psi of the prior center's class at center_spread(spread)."""
         if spread <= 0:
             return -math.inf
-        pi_spread = self.pi_spread if self.pi_spread is not None else spread
-        pi_term = -prior_d / pi_spread - default_cache().log_psi(
-            self.center.n, l, structural_class(self.center), p, pi_spread
-        )
+        pi_term = -prior_d / self.center_spread(spread) - log_psi
         return log_truncated_normal(spread, self.lambda_scale) + pi_term
 
 
@@ -174,16 +184,23 @@ class FitResult:
 
 
 class _Evaluator:
-    """Precomputed data views and per-center statistics for fast re-evaluation.
+    """The data, reduced to what a center's statistics need, and those
+    statistics per center.
 
-    For each visited center the likelihood needs its summed dropped-pair
-    distance to the data, the partition classes of its restrictions to each
-    observed-item set, and its distance to the prior center. All of these
-    are independent of the spread, so caching them per center makes spread
-    moves nearly free. Each partition class met, of the restrictions and of
-    the full center, is one row of a matrix over the distance grid of n
-    items; a center keeps only the indices of its rows.
+    At construction the respondents are reduced to per-pair sign tallies
+    (how many valid respondents order each item pair +1, -1 or 0) and to
+    observed-item groups with their sizes; nothing after __init__ reads an
+    array with a respondent axis. A center's statistics are its summed
+    dropped-pair distance to the data, one gather over the tallies; its
+    distance to the prior center; and one array of row indices: each
+    group's restricted class, then the prior center's class, then its own.
+    Every class is one row of a matrix over the distance grid of n items,
+    so all partition terms of a center at a spread are one log_psi_rows
+    call (evaluate). The statistics do not depend on the spread and are
+    kept for the last _CENTER_STATS_MAX centers met.
     """
+
+    _CENTER_STATS_MAX = 4096
 
     def __init__(
         self,
@@ -217,8 +234,15 @@ class _Evaluator:
         )
         mask = stages > 0
         i, j = pair_indices(n)
-        self._data_signs = ranking_pair_signs(stages)
-        self._pair_valid = mask[:, i] & mask[:, j]
+        signs = ranking_pair_signs(stages).T
+        valid = (mask[:, i] & mask[:, j]).T
+        # _tallies[:, 3k + c + 1]: how many valid respondents a center with
+        # sign c on pair k is discordant, and tied in one, with. A center's
+        # totals are then one gather at 3k + 1 + its signs, and one sum.
+        self._tallies = np.stack(
+            [pair_counts(signs, c, valid) for c in (-1, 0, 1)], axis=-1
+        ).reshape(2, -1)
+        self._pair_base = 3 * np.arange(len(i)) + 1
         self._prior_signs = ranking_pair_signs(np.asarray(prior.center.stages))
 
         # Respondents sharing an observed-item set share their restricted
@@ -231,7 +255,14 @@ class _Evaluator:
         self.grid = distance_grid(n, cfg.p)
         self._rows = np.empty((0, len(self.grid)))
         self._row_of: dict[tuple[int, ...], int] = {}
-        self._center_stats: dict[tuple[int, ...], tuple] = {}
+        self._center_stats: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
+        self._prior_row = self._row(structural_class(prior.center))
+        # A fixed prior spread makes the prior's normalizer one constant.
+        self._prior_log_psi = None
+        if prior.pi_spread is not None:
+            self._prior_log_psi = float(
+                log_psi_rows(self._rows[self._prior_row], self.grid, prior.pi_spread)
+            )
 
     def _row(self, sizes: tuple[int, ...]) -> int:
         """The index of the row of the class of these bucket sizes, added on
@@ -251,43 +282,43 @@ class _Evaluator:
     # -- per-center statistics -------------------------------------------
 
     def center_stats(self, center: tuple[int, ...]) -> tuple:
-        """(summed data distance, each group's row index, distance to the
-        prior center, row index of the center's class)."""
-        hit = self._center_stats.get(center)
-        if hit is not None:
-            return hit
-        arr = np.asarray(center, dtype=np.int32)
-        signs = ranking_pair_signs(arr)
-        discordant, tied_one = pair_counts(self._data_signs, signs, self._pair_valid)
-        total_d = float(discordant.sum() + self.cfg.p * tied_one.sum())
+        """(summed data distance, row indices, distance to the prior center);
+        the rows are each group's, then the prior center's, then the
+        center's own."""
+        stats = self._center_stats.get(center)
+        if stats is not None:
+            self._center_stats.move_to_end(center)
+            return stats
+        signs = ranking_pair_signs(np.asarray(center, dtype=np.int32))
+        discordant, tied_one = self._tallies[:, self._pair_base + signs].sum(axis=1)
+        total_d = float(discordant + self.cfg.p * tied_one)
 
         # How many of each group's observed items sit in each of the center's
         # buckets: the bucket sizes of its restriction, in order or reversed.
         class_key, _, bucket = center_buckets(center)
         sizes = self._group_items @ (bucket[:, np.newaxis] == np.arange(len(class_key)))
-        rows = np.array([self._row(group) for group in map(tuple, sizes.tolist())])
+        rows = [self._row(group) for group in map(tuple, sizes.tolist())]
+        rows = np.array([*rows, self._prior_row, self._row(class_key)])
 
         discordant, tied_one = pair_counts(signs, self._prior_signs)
         prior_d = int(discordant) + self.cfg.p * int(tied_one)
-        stats = (total_d, rows, prior_d, self._row(class_key))
+        stats = (total_d, rows, prior_d)
         self._center_stats[center] = stats
+        if len(self._center_stats) > self._CENTER_STATS_MAX:
+            self._center_stats.popitem(last=False)
         return stats
 
-    # -- posterior pieces --------------------------------------------------
-
-    def log_psi(self, rows, spread: float) -> np.ndarray:
-        """log psi(spread) of the given rows."""
-        return log_psi_rows(self._rows[rows], self.grid, spread)
-
-    def log_likelihood(self, stats: tuple, spread: float) -> float:
-        total_d, rows, _, _ = stats
-        return float(-total_d / spread - self._group_counts @ self.log_psi(rows, spread))
-
-    def log_prior(self, stats: tuple, spread: float) -> float:
-        return self.prior.log_density(stats[2], spread, self.l, self.cfg.p)
-
-    def log_posterior(self, stats: tuple, spread: float) -> float:
-        return self.log_likelihood(stats, spread) + self.log_prior(stats, spread)
+    def evaluate(self, stats: tuple, spread: float) -> tuple[float, float, float]:
+        """(log likelihood, log prior, log psi of the center's own class) at
+        this spread, all from one log_psi_rows call over the center's rows."""
+        total_d, rows, prior_d = stats
+        log_psi = log_psi_rows(self._rows[rows], self.grid, spread)
+        ll = float(-total_d / spread - self._group_counts @ log_psi[:-2])
+        prior_log_psi = self._prior_log_psi
+        if prior_log_psi is None:
+            prior_log_psi = float(log_psi[-2])
+        lp = self.prior.log_density(prior_d, spread, prior_log_psi)
+        return ll, lp, float(log_psi[-1])
 
 
 def _evaluate(
@@ -316,7 +347,7 @@ def log_likelihood(
     """
     prior = PriorConfig(center=params.center)
     ev, stats = _evaluate(data, params, prior, cfg)
-    return ev.log_likelihood(stats, params.spread)
+    return ev.evaluate(stats, params.spread)[0]
 
 
 def log_prior(
@@ -330,7 +361,11 @@ def log_prior(
             f"prior center has {prior.center.n} items, model has {params.n}"
         )
     prior_d = kendall_tau_partial(params.center, prior.center, cfg)
-    return prior.log_density(prior_d, params.spread, params.l, cfg.p)
+    log_psi = default_cache().log_psi(
+        params.n, params.l, structural_class(prior.center), cfg.p,
+        prior.center_spread(params.spread),
+    )
+    return prior.log_density(prior_d, params.spread, log_psi)
 
 
 def log_posterior(
@@ -341,7 +376,8 @@ def log_posterior(
 ) -> float:
     """Unnormalized log posterior: log likelihood plus log prior."""
     ev, stats = _evaluate(data, params, prior, cfg)
-    return ev.log_posterior(stats, params.spread)
+    ll, lp, _ = ev.evaluate(stats, params.spread)
+    return ll + lp
 
 
 def _propose_truncated_normal(
@@ -372,6 +408,11 @@ def mcmc_fit(
     scale of zero disables the spread move, pinning the spread at its
     initial value. The retained samples count as draws for check_capacity,
     which refuses a chain whose trace would not fit before it starts.
+
+    Each move evaluates its proposed state once (_Evaluator.evaluate), and
+    the chain carries the current state's log posterior and the log psi of
+    its center's class at its spread, which the center move's ratio needs:
+    an iteration makes two log_psi_rows calls, one with the spread pinned.
     """
     ev = _Evaluator(data, domain, prior, cfg)
     check_capacity(ev.n, ev.l, draws=mcmc.retained)
@@ -385,8 +426,7 @@ def mcmc_fit(
     center = start.stages
     spread = mcmc.lambda_init
     stats = ev.center_stats(center)
-    ll = ev.log_likelihood(stats, spread)
-    lp = ev.log_prior(stats, spread)
+    ll, lp, log_psi = ev.evaluate(stats, spread)
     if not math.isfinite(ll):
         raise InitializationError(
             f"initial log-likelihood is not finite ({ll}) at the starting state"
@@ -412,25 +452,26 @@ def mcmc_fit(
         # Center move: draw from Mallows(center, spread), exact.
         (proposed,) = default_cache().draw(center, ev.l, cfg.p, spread, rng, 1)
         stats_new = ev.center_stats(proposed)
-        log_post_new = ev.log_posterior(stats_new, spread)
-        log_psi, log_psi_new = ev.log_psi([stats[3], stats_new[3]], spread)
+        ll, lp, log_psi_new = ev.evaluate(stats_new, spread)
+        log_post_new = ll + lp
         log_alpha = (log_post_new - log_post) + (log_psi - log_psi_new)
         u = rng.random()
         if log_alpha >= 0.0 or u < math.exp(log_alpha):
-            center, stats, log_post = proposed, stats_new, log_post_new
+            center, stats, log_post, log_psi = proposed, stats_new, log_post_new, log_psi_new
             accept_center += 1
 
         # Spread move: truncated normal random walk.
         if scale > 0.0:
             proposed_spread = _propose_truncated_normal(rng, spread, scale)
-            log_post_new = ev.log_posterior(stats, proposed_spread)
+            ll, lp, log_psi_new = ev.evaluate(stats, proposed_spread)
+            log_post_new = ll + lp
             log_alpha = (log_post_new - log_post) + (
                 _log_std_normal_cdf(spread / scale)
                 - _log_std_normal_cdf(proposed_spread / scale)
             )
             u = rng.random()
             if log_alpha >= 0.0 or u < math.exp(log_alpha):
-                spread, log_post = proposed_spread, log_post_new
+                spread, log_post, log_psi = proposed_spread, log_post_new, log_psi_new
                 accept_spread += 1
 
         if t > mcmc.burn_in and (t - mcmc.burn_in - 1) % mcmc.thinning == 0:

@@ -354,21 +354,23 @@ def write_fit_report(
 
 
 def write_trace(trace: McmcTrace, path: str | Path) -> None:
-    """Write one JSON object per retained sample, line-delimited."""
+    """Write one JSON object per retained sample, line-delimited, each line
+    as it is formatted. An empty trace is one empty line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for it, spread, log_post, row in zip(
-        trace.iterations, trace.spreads, trace.log_posteriors, trace.centers
-    ):
-        record = {
-            "iter": int(it),
-            "lambda": float(spread),
-            "log_post": float(log_post),
-            "stages": [int(v) for v in row],
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        if len(trace) == 0:
+            handle.write("\n")
+        for it, spread, log_post, row in zip(
+            trace.iterations, trace.spreads, trace.log_posteriors, trace.centers
+        ):
+            record = {
+                "iter": int(it),
+                "lambda": float(spread),
+                "log_post": float(log_post),
+                "stages": [int(v) for v in row],
+            }
+            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def read_trace(path: str | Path) -> list[dict]:

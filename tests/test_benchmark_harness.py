@@ -1,11 +1,13 @@
-"""Smoke tests of the benchmark harness in perfbench/ and of the row-layer
-harness scripts/time_rows.py, run as a user runs them.
+"""Smoke tests of the benchmark harness in perfbench/ and of the layer
+harnesses scripts/time_rows.py and scripts/time_chain.py, run as a user
+runs them.
 
 The traced run wraps PartitionCache.log_psi and PartitionCache.histogram by
 name and checks that the layers' self times add up to the traced wall
 time within 5%, so this test fails when a refactor of the package breaks
 the names the tracer patches or the harness's own checks. time_rows.py
-clears the stage-count caches by name, so it breaks the same way.
+clears the stage-count caches by name, and time_chain.py times the chain's
+private evaluator, so they break the same way.
 """
 
 import json
@@ -29,14 +31,25 @@ def test_traced_large_run_is_correct_and_fails_nothing():
     assert summary["failed"] == 0, result.stdout
 
 
-def test_row_harness_times_every_space():
+def _run_script(name: str) -> dict:
     result = subprocess.run(
-        [sys.executable, "scripts/time_rows.py", "--repeats", "1"],
+        [sys.executable, f"scripts/{name}", "--repeats", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
     )
     assert result.returncode == 0, result.stderr
-    spaces = json.loads(result.stdout)["spaces"]
+    return json.loads(result.stdout)
+
+
+def test_row_harness_times_every_space():
+    spaces = _run_script("time_rows.py")["spaces"]
     assert len(spaces) == 4
     assert all(space["row_s"] > 0 for space in spaces), spaces
+
+
+def test_chain_harness_times_every_layer():
+    datasets = _run_script("time_chain.py")["datasets"]
+    assert sorted(datasets) == ["large", "survey", "wide"]
+    for figures in datasets.values():
+        assert all(figures[key] > 0 for key in figures if key.endswith("_us")), figures

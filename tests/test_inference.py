@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stagemallows import mallows
+from stagemallows import inference, mallows
 from stagemallows.errors import InitializationError
 from stagemallows.inference import (
     McmcConfig,
@@ -17,7 +17,13 @@ from stagemallows.inference import (
     stage_marginals,
 )
 from stagemallows.mallows import MallowsParams, PartitionCache, partition_function, sample
-from stagemallows.rankings import CentralRanking, DistanceConfig, PartialRanking, StageDomain
+from stagemallows.rankings import (
+    CentralRanking,
+    DistanceConfig,
+    PartialRanking,
+    StageDomain,
+    kendall_tau_partial,
+)
 from stagemallows.synth import SynthConfig, generate
 
 from oracles import (
@@ -271,6 +277,97 @@ class TestMcmcFit:
         )
         assert np.all(result.trace.spreads == 0.9)
         assert result.trace.accept_rate_spread == 0.0
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("l", [2, 3, 5])
+    @pytest.mark.parametrize("tie", [0.5, 0.731, 1.0])
+    def test_tally_distance_matches_definition(self, l, tie):
+        # Respondents who observe one item, and so no pair (a ranking must
+        # observe at least one), item 5 never observed and items 0 and 1
+        # never observed together, so some pairs have no respondent at all.
+        n, m = 6, 40
+        rng = np.random.default_rng(100 * l + int(1000 * tie))
+        stages = rng.integers(1, l + 1, size=(m, n))
+        missing = rng.random((m, n)) < 0.3
+        missing[:3] = True
+        missing[:3, 2] = False
+        missing[:, 5] = True
+        missing[:, 1] |= ~missing[:, 0]
+        missing[missing.all(axis=1), 3] = False
+        data = [PartialRanking(tuple(None if gone else int(v) for v, gone in zip(row, holes)))
+                for row, holes in zip(stages, missing)]
+        prior_center = central(*rng.integers(1, l + 1, size=n).tolist())
+        cfg = DistanceConfig(p=tie)
+        ev = inference._Evaluator(data, StageDomain(l), PriorConfig(center=prior_center), cfg)
+
+        def counts(x, y):
+            # kendall_tau_partial at p = 1 and p = 1/2 is exact in floating
+            # point, and the two give the discordant and tied-in-one counts,
+            # so the total at any p is compared with one rounding, as summed.
+            whole = kendall_tau_partial(x, y, DistanceConfig(p=1.0))
+            half = kendall_tau_partial(x, y, DistanceConfig(p=0.5))
+            return whole - 2 * (whole - half), 2 * (whole - half)
+
+        for center in [tuple(rng.integers(1, l + 1, size=n).tolist()) for _ in range(20)]:
+            pairs = [counts(resp, central(*center)) for resp in data]
+            discordant = sum(int(d) for d, _ in pairs)
+            tied_one = sum(int(e) for _, e in pairs)
+            total_d, _, prior_d = ev.center_stats(center)
+            assert total_d == discordant + tie * tied_one
+            assert prior_d == kendall_tau_partial(central(*center), prior_center, cfg)
+            if tie in (0.5, 1.0):
+                assert total_d == sum(kendall_tau_partial(resp, central(*center), cfg)
+                                      for resp in data)
+
+    @pytest.mark.parametrize("scale, pi_spread, calls", [
+        (0.1, None, 2 * 60 + 1),
+        (0.0, None, 60 + 1),
+        (0.1, 0.8, 2 * 60 + 2),
+    ])
+    def test_one_partition_evaluation_per_move(self, monkeypatch, scale, pi_spread, calls):
+        # Every move evaluates its state's partition terms in one call, and
+        # a fixed prior spread adds one call per fit for the prior's constant.
+        made = {"rows": 0, "cache": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                made[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        rows = counted("rows", mallows.log_psi_rows)
+        monkeypatch.setattr(mallows, "log_psi_rows", rows)
+        monkeypatch.setattr(inference, "log_psi_rows", rows)
+        monkeypatch.setattr(PartitionCache, "log_psi", counted("cache", PartitionCache.log_psi))
+        data, truth = _synthetic(4, 3, 1.0, 15, seed=9, missing=20.0)
+        prior = PriorConfig(center=truth.center, pi_spread=pi_spread)
+        mcmc_fit(data, truth.domain, prior,
+                 McmcConfig(iterations=60, burn_in=20, seed=4, lambda_proposal_scale=scale))
+        assert made == {"rows": calls, "cache": 0}
+
+    def test_center_stats_cache_is_bounded(self, monkeypatch):
+        data, truth = _synthetic(5, 3, 2.0, 20, seed=3, missing=20.0)
+        prior = PriorConfig(center=truth.center)
+        mcmc = McmcConfig(iterations=300, burn_in=100, seed=6)
+        sizes = []
+        center_stats = inference._Evaluator.center_stats
+
+        def recorded(self, center):
+            stats = center_stats(self, center)
+            sizes.append(len(self._center_stats))
+            return stats
+
+        monkeypatch.setattr(inference._Evaluator, "center_stats", recorded)
+        uncapped = mcmc_fit(data, truth.domain, prior, mcmc)
+        assert max(sizes) > 8
+        sizes.clear()
+        monkeypatch.setattr(inference._Evaluator, "_CENTER_STATS_MAX", 8)
+        capped = mcmc_fit(data, truth.domain, prior, mcmc)
+        assert max(sizes) == 8
+        assert np.array_equal(capped.trace.centers, uncapped.trace.centers)
+        assert np.array_equal(capped.trace.spreads, uncapped.trace.spreads)
+        assert np.array_equal(capped.trace.log_posteriors, uncapped.trace.log_posteriors)
 
 
 class TestChainTargetsExactPosterior:

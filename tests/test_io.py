@@ -285,6 +285,44 @@ class TestReports:
         }
         assert len(records) == 3
 
+    def test_trace_bytes_are_one_compact_line_per_sample(self, tmp_path):
+        trace = _tiny_result().trace
+        path = tmp_path / "trace.ndjson"
+        write_trace(trace, path)
+        lines = [
+            json.dumps({"iter": int(it), "lambda": float(s), "log_post": float(lp),
+                        "stages": [int(v) for v in row]}, separators=(",", ":"))
+            for it, s, lp, row in zip(trace.iterations, trace.spreads,
+                                      trace.log_posteriors, trace.centers)
+        ]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        empty = McmcTrace(n=2, l=3, iterations=np.empty(0, dtype=np.int64),
+                          centers=np.empty((0, 2), dtype=np.int32), spreads=np.empty(0),
+                          log_posteriors=np.empty(0), accept_rate_center=0.0,
+                          accept_rate_spread=0.0)
+        write_trace(empty, path)
+        assert path.read_bytes() == b"\n"
+
+    def test_trace_is_streamed(self, tmp_path):
+        """Writing 20,000 samples holds less than the file's own size."""
+        count, n = 20_000, 8
+        rng = np.random.default_rng(0)
+        trace = McmcTrace(
+            n=n, l=4, iterations=np.arange(1, count + 1),
+            centers=rng.integers(1, 5, size=(count, n), dtype=np.int32),
+            spreads=rng.random(count) + 0.5, log_posteriors=-100 * rng.random(count),
+            accept_rate_center=0.2, accept_rate_spread=0.5,
+        )
+        path = tmp_path / "trace.ndjson"
+        tracemalloc.start()
+        try:
+            write_trace(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+        assert len(read_trace(path)) == count
+
     def test_byte_stability(self, tmp_path, two_item_ds):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_fit_report(_tiny_result(), two_item_ds, a)
