@@ -48,9 +48,9 @@ from .rankings import (
     DistanceConfig,
     PartialRanking,
     StageDomain,
+    compared_pairs,
     kendall_tau_partial,
     pair_counts,
-    pair_indices,
     ranking_pair_signs,
 )
 
@@ -83,19 +83,16 @@ def log_truncated_normal(value: float, scale: float = 1.0) -> float:
 class PriorConfig:
     """Joint prior p(center, spread) = p(center | spread) p(spread).
 
-    The spread gets a truncated normal (location 0) on (0, inf). The
+    The spread gets a standard normal truncated to (0, inf). The
     center gets a Mallows distribution around ``center``; its spread is
     the currently sampled spread when ``pi_spread`` is None (the coupled
     form), or the given fixed value.
     """
 
     center: CentralRanking
-    lambda_scale: float = 1.0
     pi_spread: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.lambda_scale < math.inf:
-            raise ValueError(f"lambda_scale must be finite and positive, got {self.lambda_scale}")
         if self.pi_spread is not None and not 0 < self.pi_spread < math.inf:
             raise ValueError(
                 f"pi_spread must be finite and positive when fixed, got {self.pi_spread}"
@@ -111,7 +108,7 @@ class PriorConfig:
         if spread <= 0:
             return -math.inf
         pi_term = -prior_d / self.center_spread(spread) - log_psi
-        return log_truncated_normal(spread, self.lambda_scale) + pi_term
+        return log_truncated_normal(spread) + pi_term
 
 
 @dataclass(frozen=True)
@@ -233,16 +230,15 @@ class _Evaluator:
             dtype=np.int32,
         )
         mask = stages > 0
-        i, j = pair_indices(n)
         signs = ranking_pair_signs(stages).T
-        valid = (mask[:, i] & mask[:, j]).T
+        valid = compared_pairs(mask).T
         # _tallies[:, 3k + c + 1]: how many valid respondents a center with
         # sign c on pair k is discordant, and tied in one, with. A center's
         # totals are then one gather at 3k + 1 + its signs, and one sum.
         self._tallies = np.stack(
             [pair_counts(signs, c, valid) for c in (-1, 0, 1)], axis=-1
         ).reshape(2, -1)
-        self._pair_base = 3 * np.arange(len(i)) + 1
+        self._pair_base = 3 * np.arange(len(signs)) + 1
         self._prior_signs = ranking_pair_signs(np.asarray(prior.center.stages))
 
         # Respondents sharing an observed-item set share their restricted
@@ -483,7 +479,8 @@ def mcmc_fit(
 
     rate_center = accept_center / mcmc.iterations
     rate_spread = accept_spread / mcmc.iterations if scale > 0.0 else 0.0
-    if scale > 0.0 and (rate_spread in (0.0, 1.0) or rate_center in (0.0, 1.0)):
+    # One stage leaves one center to accept, and a zero scale pins the spread.
+    if (ev.l > 1 and rate_center in (0.0, 1.0)) or (scale > 0.0 and rate_spread in (0.0, 1.0)):
         logger.warning(
             "degenerate acceptance rates (center=%.3f, spread=%.3f); "
             "the chain is unlikely to have mixed",

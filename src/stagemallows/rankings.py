@@ -5,6 +5,10 @@ stage (a bucket order) and, in a partial ranking, some items may be
 unranked. The distance between two rankings counts discordant pairs at
 weight 1 and pairs tied in exactly one ranking at weight p; pairs that
 touch an unranked item are dropped from the comparison.
+
+One kernel (ranking_pair_signs, compared_pairs, pair_counts) makes every
+pair comparison in the package: here over an object array, so stages of
+any size compare exactly, and in the fitter over the respondents' array.
 """
 
 from __future__ import annotations
@@ -170,8 +174,66 @@ class PairKind(enum.Enum):
     DROPPED = "dropped"
 
 
-def _sign(a: int, b: int) -> int:
-    return (a > b) - (a < b)
+@lru_cache(maxsize=32)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Item indices (i, j) of every unordered pair i < j, in row-major order."""
+    i, j = np.triu_indices(n, k=1)
+    return i.astype(np.int64), j.astype(np.int64)
+
+
+def ranking_pair_signs(stages: np.ndarray) -> np.ndarray:
+    """sign(stages[i] - stages[j]) as int8 for every pair i < j, along the
+    last axis: how each pair is ordered."""
+    i, j = pair_indices(stages.shape[-1])
+    a, b = stages[..., i], stages[..., j]
+    return (a > b).view(np.int8) - (a < b).view(np.int8)
+
+
+def compared_pairs(observed: np.ndarray) -> np.ndarray:
+    """Whether each pair i < j is compared, along the last axis, given which
+    items are observed. A pair that touches an unranked item is dropped."""
+    i, j = pair_indices(observed.shape[-1])
+    return observed[..., i] & observed[..., j]
+
+
+def pair_counts(
+    x_signs: np.ndarray, y_signs: np.ndarray, valid: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Discordant and tied-in-one pair counts along the last axis.
+
+    Pairs where ``valid`` is False (see compared_pairs) are dropped and
+    count as neither.
+    """
+    discordant = (x_signs * y_signs) == -1
+    tied_one = (x_signs == 0) ^ (y_signs == 0)
+    if valid is not None:
+        discordant &= valid
+        tied_one &= valid
+    return discordant.sum(axis=-1, dtype=np.int64), tied_one.sum(axis=-1, dtype=np.int64)
+
+
+def _tally(x: Sequence[Optional[int]], y: Sequence[Optional[int]]) -> dict[PairKind, int]:
+    if len(y) != len(x):
+        raise ValueError(f"rankings have {len(x)} and {len(y)} items")
+    # Object dtype compares the stages as Python ints, exactly at any size.
+    stages = np.array([[0 if v is MISSING else v for v in r] for r in (x, y)], dtype=object)
+    compared = compared_pairs((stages > 0).all(axis=0))
+    x_signs, y_signs = ranking_pair_signs(stages)
+    discordant, tied_one = pair_counts(x_signs, y_signs, compared)
+    tied_both = int(np.count_nonzero(compared & (x_signs == 0) & (y_signs == 0)))
+    kept = int(np.count_nonzero(compared))
+    return {
+        PairKind.CONCORDANT: kept - int(discordant) - int(tied_one) - tied_both,
+        PairKind.DISCORDANT: int(discordant),
+        PairKind.TIED_BOTH: tied_both,
+        PairKind.TIED_ONE: int(tied_one),
+        PairKind.DROPPED: len(compared) - kept,
+    }
+
+
+def pair_tally(x: Ranking, y: Ranking) -> dict[PairKind, int]:
+    """Count every unordered item pair by its classification."""
+    return _tally(x.stages, y.stages)
 
 
 def classify_pair(x: Ranking, y: Ranking, i: int, j: int) -> PairKind:
@@ -187,65 +249,8 @@ def classify_pair(x: Ranking, y: Ranking, i: int, j: int) -> PairKind:
         raise ValueError(f"rankings have {n} and {len(y.stages)} items")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"pair ({i}, {j}) out of range for {n} items")
-
-    xi, xj, yi, yj = x.stages[i], x.stages[j], y.stages[i], y.stages[j]
-    if xi is MISSING or xj is MISSING or yi is MISSING or yj is MISSING:
-        return PairKind.DROPPED
-    sx = _sign(xi, xj)
-    sy = _sign(yi, yj)
-    if sx == 0 and sy == 0:
-        return PairKind.TIED_BOTH
-    if sx == 0 or sy == 0:
-        return PairKind.TIED_ONE
-    if sx != sy:
-        return PairKind.DISCORDANT
-    return PairKind.CONCORDANT
-
-
-def pair_tally(x: Ranking, y: Ranking) -> dict[PairKind, int]:
-    """Count every unordered item pair by its classification."""
-    n = len(x.stages)
-    if len(y.stages) != n:
-        raise ValueError(f"rankings have {n} and {len(y.stages)} items")
-    tally = {kind: 0 for kind in PairKind}
-    for i in range(n):
-        for j in range(i + 1, n):
-            tally[classify_pair(x, y, i, j)] += 1
-    return tally
-
-
-@lru_cache(maxsize=32)
-def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Item indices (i, j) of every unordered pair i < j, in row-major order."""
-    i, j = np.triu_indices(n, k=1)
-    return i.astype(np.int64), j.astype(np.int64)
-
-
-def pair_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise sign(a - b) as int8: how each compared pair is ordered."""
-    return (a > b).view(np.int8) - (a < b).view(np.int8)
-
-
-def ranking_pair_signs(stages: np.ndarray) -> np.ndarray:
-    """pair_signs of items i and j for every pair i < j, along the last axis."""
-    i, j = pair_indices(stages.shape[-1])
-    return pair_signs(stages[..., i], stages[..., j])
-
-
-def pair_counts(
-    x_signs: np.ndarray, y_signs: np.ndarray, valid: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discordant and tied-in-one pair counts along the last axis.
-
-    Pairs where ``valid`` is False (those touching an unranked item) are
-    dropped and count as neither.
-    """
-    discordant = (x_signs * y_signs) == -1
-    tied_one = (x_signs == 0) ^ (y_signs == 0)
-    if valid is not None:
-        discordant &= valid
-        tied_one &= valid
-    return discordant.sum(axis=-1, dtype=np.int64), tied_one.sum(axis=-1, dtype=np.int64)
+    tally = _tally((x.stages[i], x.stages[j]), (y.stages[i], y.stages[j]))
+    return next(kind for kind, count in tally.items() if count)
 
 
 def kendall_tau_partial(
@@ -256,18 +261,8 @@ def kendall_tau_partial(
     Concordant pairs, pairs tied in both rankings, and dropped pairs
     contribute nothing. Symmetric in x and y.
     """
-    n = len(x.stages)
-    if len(y.stages) != n:
-        raise ValueError(f"rankings have {n} and {len(y.stages)} items")
-    # Object dtype compares the stages as Python ints, exactly at any size.
-    stages = np.array(
-        [[0 if v is MISSING else v for v in r.stages] for r in (x, y)], dtype=object
-    )
-    observed = (stages > 0).all(axis=0)
-    i, j = pair_indices(n)
-    signs = ranking_pair_signs(stages)
-    discordant, tied_one = pair_counts(signs[0], signs[1], observed[i] & observed[j])
-    return int(discordant) + cfg.p * int(tied_one)
+    tally = pair_tally(x, y)
+    return tally[PairKind.DISCORDANT] + cfg.p * tally[PairKind.TIED_ONE]
 
 
 def ranking_from_values(values: Sequence[Optional[int]]) -> Ranking:

@@ -35,6 +35,27 @@ def naive_distance(x, y, p=0.5):
     return total
 
 
+def naive_pair_tally(x, y):
+    """Count every unordered pair as "concordant", "discordant", "tied_both",
+    "tied_one" or "dropped" (touching a None in either ranking)."""
+    assert len(x) == len(y)
+    tally = dict.fromkeys(("concordant", "discordant", "tied_both", "tied_one", "dropped"), 0)
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            if x[i] is None or x[j] is None or y[i] is None or y[j] is None:
+                kind = "dropped"
+            elif x[i] == x[j] and y[i] == y[j]:
+                kind = "tied_both"
+            elif x[i] == x[j] or y[i] == y[j]:
+                kind = "tied_one"
+            elif (x[i] < x[j]) != (y[i] < y[j]):
+                kind = "discordant"
+            else:
+                kind = "concordant"
+            tally[kind] += 1
+    return tally
+
+
 def inversion_count(x, y):
     """Classical Kendall tau on strict rankings: number of inverted pairs."""
     assert len(x) == len(y)

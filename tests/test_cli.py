@@ -350,6 +350,16 @@ class TestDistance:
         result = run_ok(runner, ["distance", str(a), str(b)])
         assert "dropped: 3" in result.output
 
+    def test_stages_beyond_int64_compare_exactly(self, runner, tmp_path):
+        # In float64 the three stages are equal, so every pair would tie in both.
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_ranking_file((2**70, 2**70 + 1, 2**70), a)
+        write_ranking_file((2**70 + 1, 2**70, 2**70), b)
+        result = run_ok(runner, ["distance", str(a), str(b)])
+        assert "d_p = 2.0" in result.output
+        assert ("discordant pairs: 1, tied in one: 2, dropped: 0, concordant: 0, "
+                "tied in both: 0") in result.output
+
     def test_mismatched_lengths_exit_two(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_ranking_file((1, 2), a)

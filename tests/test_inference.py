@@ -278,6 +278,25 @@ class TestMcmcFit:
         assert np.all(result.trace.spreads == 0.9)
         assert result.trace.accept_rate_spread == 0.0
 
+    def test_one_stage_center_rate_is_not_degenerate(self, caplog):
+        # Over one stage the only center is always re-proposed and accepted.
+        result = mcmc_fit([PartialRanking((1,))] * 5, StageDomain(1),
+                          PriorConfig(center=central(1)), McmcConfig(seed=3))
+        assert result.trace.accept_rate_center == 1.0
+        assert 0.0 < result.trace.accept_rate_spread < 1.0
+        assert "degenerate acceptance rates" not in caplog.text
+
+    def test_stuck_center_warns_with_pinned_spread(self, caplog):
+        # At spread 0.001 every proposal is the current center: the chain
+        # accepts each one and never moves.
+        result = mcmc_fit(
+            [PartialRanking((1, 2))] * 20, StageDomain(2), PriorConfig(center=central(1, 2)),
+            McmcConfig(iterations=100, burn_in=50, lambda_init=0.001,
+                       lambda_proposal_scale=0.0),
+        )
+        assert result.trace.accept_rate_center == 1.0
+        assert "degenerate acceptance rates" in caplog.text
+
 
 class TestEvaluator:
     @pytest.mark.parametrize("l", [2, 3, 5])

@@ -12,6 +12,7 @@ from stagemallows.rankings import (
     PartialRanking,
     StageDomain,
     classify_pair,
+    compared_pairs,
     kendall_tau_partial,
     pair_counts,
     pair_indices,
@@ -19,7 +20,7 @@ from stagemallows.rankings import (
     ranking_pair_signs,
 )
 
-from oracles import inversion_count, naive_distance
+from oracles import inversion_count, naive_distance, naive_pair_tally
 
 
 def central(*stages):
@@ -235,16 +236,22 @@ class TestPairSignKernel:
     @example((partial(2), partial(1)))
     @example((partial(3, 3, 3, 3), partial(1, 2, MISSING, 2)))
     @example((partial(2, 2, 2), partial(2, 2, 2)))
+    # Stages beyond int64, one apart: a float64 copy would tie them.
+    @example((partial(2**70, 2**70 + 1, MISSING), partial(2**70 + 1, 2**70, 2**70)))
     def test_counts_and_distance_match_scalar_definition(self, pair):
         x, y = pair
+        expected = naive_pair_tally(x.stages, y.stages)
+        assert {kind.value: count for kind, count in pair_tally(x, y).items()} == expected
+        for i, j in zip(*pair_indices(x.n)):
+            one = naive_pair_tally((x.stages[i], x.stages[j]), (y.stages[i], y.stages[j]))
+            assert one[classify_pair(x, y, int(i), int(j)).value] == 1
         stages = np.array([[0 if v is MISSING else v for v in r.stages] for r in pair])
-        observed = (stages > 0).all(axis=0)
-        i, j = pair_indices(x.n)
         signs = ranking_pair_signs(stages)
-        discordant, tied_one = pair_counts(signs[0], signs[1], observed[i] & observed[j])
-        tally = pair_tally(x, y)
-        assert int(discordant) == tally[PairKind.DISCORDANT]
-        assert int(tied_one) == tally[PairKind.TIED_ONE]
+        compared = compared_pairs((stages > 0).all(axis=0))
+        discordant, tied_one = pair_counts(signs[0], signs[1], compared)
+        assert int(discordant) == expected["discordant"]
+        assert int(tied_one) == expected["tied_one"]
+        assert int((~compared).sum()) == expected["dropped"]
         for p in (0.5, 0.7, 1.0):
             d = kendall_tau_partial(x, y, DistanceConfig(p=p))
             assert type(d) is float
