@@ -24,6 +24,7 @@ from .inference import McmcConfig, PriorConfig, mcmc_fit
 from .io import (
     QuestionnaireDataset,
     filter_items,
+    parse_int,
     read_dataset,
     read_ranking_file,
     write_fit_report,
@@ -111,7 +112,7 @@ def _parse_center(text: str, n: int, l: int) -> CentralRanking:
     if Path(text).exists():
         return _read_center_file(text, n, StageDomain(l), "center")
     try:
-        stages = [int(tok) for tok in text.split(",")]
+        stages = [parse_int(tok) for tok in text.split(",")]
     except ValueError:
         raise click.UsageError(
             f"--center must be a ranking file or a comma list of stages, got {text!r}"

@@ -52,6 +52,7 @@ from .rankings import (
     kendall_tau_partial,
     pair_counts,
     ranking_pair_signs,
+    stage_matrix,
 )
 
 logger = logging.getLogger(__name__)
@@ -210,10 +211,9 @@ class _Evaluator:
             raise ValueError("dataset is empty")
         n = data[0].n
         check_capacity(n, domain.l)
-        for k, resp in enumerate(data):
-            if resp.n != n:
-                raise ValueError(f"respondent {k} has {resp.n} items, expected {n}")
-            resp.check_domain(domain)
+        stages, count = stage_matrix(data, n, domain)
+        if count < len(data):
+            raise ValueError(f"respondent {count} has {data[count].n} items, expected {n}")
         if prior.center.n != n:
             raise ValueError(
                 f"prior center has {prior.center.n} items, data has {n}"
@@ -225,10 +225,8 @@ class _Evaluator:
         self.cfg = cfg
         self.prior = prior
 
-        stages = np.array(
-            [[v if v is not None else 0 for v in resp.stages] for resp in data],
-            dtype=np.int32,
-        )
+        # check_capacity bounds l far below 2^31.
+        stages = stages.astype(np.int32)
         mask = stages > 0
         signs = ranking_pair_signs(stages).T
         valid = compared_pairs(mask).T

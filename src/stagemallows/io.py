@@ -9,6 +9,14 @@ Datasets travel as a long-form CSV plus a JSON sidecar:
   stage count ``l``, and a ``stage_label_offset`` mapping internal stage
   1 to the label the questionnaire actually used.
 
+read_dataset checks each cell once, where it enters: one streaming pass
+over the rows keeps each row's (respondent, item) cell and its stage, each
+distinct stage text parsed and checked once, and the duplicate and
+never-observed checks then run as array operations over those cells. Every
+refusal names the first faulty row in file order. Writers do O(1) string
+work per cell: the CSV quotes each label and respondent id once, and the
+trace formats each line without json.
+
 Fit artifacts are a JSON report, a line-delimited JSON trace (one object
 per retained sample), and an SVG heatmap with one rect per (item, stage)
 cell. All writers are byte-stable: identical inputs produce identical
@@ -28,7 +36,7 @@ import numpy as np
 
 from .errors import FormatError
 from .inference import FitResult, McmcTrace
-from .rankings import MISSING, ItemSet, PartialRanking, StageDomain
+from .rankings import MISSING, ItemSet, PartialRanking, StageDomain, stage_matrix
 
 _SIDEKICK_SUFFIX = ".meta.json"
 
@@ -48,15 +56,13 @@ class QuestionnaireDataset:
         ids = [rid for rid, _ in self.responses]
         if len(set(ids)) != len(ids):
             raise ValueError("respondent ids must be unique")
-        observed = np.zeros(self.items.n, dtype=bool)
-        for rid, ranking in self.responses:
-            if ranking.n != self.items.n:
-                raise ValueError(
-                    f"respondent {rid!r} has {ranking.n} entries, expected {self.items.n}"
-                )
-            ranking.check_domain(self.stage_domain)
-            for idx in ranking.observed_indices:
-                observed[idx] = True
+        stages, count = stage_matrix(self.rankings(), self.items.n, self.stage_domain)
+        if count < self.m:
+            rid, ranking = self.responses[count]
+            raise ValueError(
+                f"respondent {rid!r} has {ranking.n} entries, expected {self.items.n}"
+            )
+        observed = (stages != 0).any(axis=0)
         if self.responses and not observed.all():
             silent = [self.items.labels[i] for i in np.flatnonzero(~observed)]
             raise ValueError(f"items never observed by any respondent: {silent}")
@@ -81,6 +87,17 @@ def _whole(value) -> int:
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
+
+
+def parse_int(text: str) -> int:
+    """The integer written in text: optional surrounding whitespace, an
+    optional sign and ASCII digits only (ValueError otherwise). int() alone
+    would also read "1_0" as 10 and the Arabic-Indic digit three as 3."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(body)
 
 
 def sidecar_path(csv_path: str | Path) -> Path:
@@ -117,10 +134,19 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
         raise FormatError(f"sidecar has malformed items, l or stage_label_offset: {err}") from err
     provenance = str(meta.get("provenance", ""))
     item_index = {label: i for i, label in enumerate(items.labels)}
+    n = items.n
 
-    order: list[str] = []
-    cells: dict[str, list] = {}
-    seen: set[tuple[str, str]] = set()
+    # One pass keeps each row's cell, respondent * n + item with respondents
+    # numbered in order of first appearance, and its internal stage (0 when
+    # blank). A fault in a row ends the pass. Duplicate cells are found after
+    # it, over every cell read, so a duplicate in an earlier row, or in the
+    # faulty row itself if its item is known, is reported first, as when
+    # every row was checked in turn.
+    respondents: dict[str, int] = {}
+    stage_of: dict[str, int] = {}
+    cells: list[int] = []
+    stages: list[int] = []
+    fault: Exception | None = None
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -128,51 +154,81 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
             raise FormatError(
                 f"expected header respondent_id,item,stage, got {header}"
             )
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise FormatError("expected 3 columns", row=row_no)
-            rid, item, stage_text = row
-            if item not in item_index:
-                raise FormatError(f"unknown item {item!r}", row=row_no)
-            if (rid, item) in seen:
-                raise FormatError(
-                    f"duplicate cell for respondent {rid!r}, item {item!r}", row=row_no
-                )
-            seen.add((rid, item))
-            if rid not in cells:
-                cells[rid] = [MISSING] * items.n
-                order.append(rid)
-            if stage_text.strip() == "":
-                continue
-            try:
-                label = int(stage_text)
-            except ValueError:
-                raise FormatError(f"stage {stage_text!r} is not an integer", row=row_no)
-            internal = label - offset + 1
-            if not domain.contains(internal):
-                raise FormatError(
-                    f"stage label {label} falls outside the declared domain "
-                    f"({offset}..{offset + domain.l - 1})",
-                    row=row_no,
-                )
-            cells[rid][item_index[item]] = internal
+        try:
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != 3:
+                    fault = FormatError("expected 3 columns", row=row_no)
+                    break
+                rid, item, stage_text = row
+                column = item_index.get(item)
+                if column is None:
+                    fault = FormatError(f"unknown item {item!r}", row=row_no)
+                    break
+                cells.append(respondents.setdefault(rid, len(respondents)) * n + column)
+                stage = stage_of.get(stage_text)
+                if stage is None:
+                    try:
+                        stage = stage_of[stage_text] = _internal_stage(stage_text, offset, domain)
+                    except ValueError as err:
+                        fault = FormatError(str(err), row=row_no)
+                        break
+                stages.append(stage)
+        except (csv.Error, UnicodeDecodeError) as err:
+            fault = err
 
-    responses = []
-    for rid in order:
-        stages = cells[rid]
-        if all(v is MISSING for v in stages):
-            raise FormatError(f"respondent {rid!r} observed no items")
-        responses.append((rid, PartialRanking(tuple(stages))))
+    cells = np.array(cells, dtype=np.int64)
+    if len(cells) and np.bincount(cells).max() > 1:
+        # The first row whose cell an earlier row already had.
+        order = np.argsort(cells, kind="stable")
+        repeat = int(order[1:][cells[order[1:]] == cells[order[:-1]]].min())
+        rid, column = divmod(int(cells[repeat]), n)
+        raise FormatError(
+            f"duplicate cell for respondent {list(respondents)[rid]!r}, "
+            f"item {items.labels[column]!r}",
+            row=repeat + 2,
+        )
+    if fault is not None:
+        raise fault
+
+    # Object entries keep stages of any size exact, as the sidecar's l may be.
+    ids = list(respondents)
+    matrix = np.zeros(len(ids) * n, dtype=object)
+    matrix[cells] = stages
+    matrix = matrix.reshape(len(ids), n)
+    observed = matrix > 0
+    silent = ~observed.any(axis=1)
+    if silent.any():
+        raise FormatError(f"respondent {ids[int(silent.argmax())]!r} observed no items")
+    matrix[~observed] = MISSING
+    responses = tuple(zip(ids, map(PartialRanking, matrix.tolist())))
     try:
         return QuestionnaireDataset(
             items=items,
             stage_domain=domain,
             stage_label_offset=offset,
-            responses=tuple(responses),
+            responses=responses,
             provenance=provenance,
         )
     except ValueError as err:
         raise FormatError(str(err)) from err
+
+
+def _internal_stage(text: str, offset: int, domain: StageDomain) -> int:
+    """The internal stage of a stage cell, 0 for a blank one (ValueError
+    when it is not an integer label of the domain)."""
+    if text.strip() == "":
+        return 0
+    try:
+        label = parse_int(text)
+    except ValueError:
+        raise ValueError(f"stage {text!r} is not an integer") from None
+    internal = label - offset + 1
+    if not domain.contains(internal):
+        raise ValueError(
+            f"stage label {label} falls outside the declared domain "
+            f"({offset}..{offset + domain.l - 1})"
+        )
+    return internal
 
 
 def write_dataset(ds: QuestionnaireDataset, path: str | Path) -> None:
@@ -202,12 +258,16 @@ def write_raw_dataset(
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["respondent_id,item,stage"]
-    for rid, ranking in responses:
-        for idx in ranking.observed_indices:
-            label = ranking.stages[idx] + stage_label_offset - 1
-            lines.append(f"{_csv_cell(rid)},{_csv_cell(items.labels[idx])},{label}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = [f",{_csv_cell(label)}," for label in items.labels]
+    shift = stage_label_offset - 1
+    with path.open("w", encoding="utf-8") as out:
+        out.write("respondent_id,item,stage\n")
+        for rid, ranking in responses:
+            quoted = _csv_cell(rid)
+            out.write("".join([
+                f"{quoted}{column}{stage + shift}\n"
+                for column, stage in zip(columns, ranking.stages) if stage is not MISSING
+            ]))
 
     meta = {
         "items": list(items.labels),
@@ -355,7 +415,13 @@ def write_fit_report(
 
 def write_trace(trace: McmcTrace, path: str | Path) -> None:
     """Write one JSON object per retained sample, line-delimited, each line
-    as it is formatted. An empty trace is one empty line."""
+    as it is formatted. An empty trace is one empty line.
+
+    Each line is the text json.dumps(..., separators=(",", ":")) gives: json
+    writes a float as float.__repr__ does, and only finite floats reach a
+    trace, because mcmc_fit starts from a finite log posterior and spread
+    and never accepts a proposal whose log ratio is -inf or NaN.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
@@ -364,13 +430,9 @@ def write_trace(trace: McmcTrace, path: str | Path) -> None:
         for it, spread, log_post, row in zip(
             trace.iterations, trace.spreads, trace.log_posteriors, trace.centers
         ):
-            record = {
-                "iter": int(it),
-                "lambda": float(spread),
-                "log_post": float(log_post),
-                "stages": [int(v) for v in row],
-            }
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+            stages = str(row.tolist()).replace(" ", "")
+            handle.write(f'{{"iter":{int(it)},"lambda":{float(spread)!r},'
+                         f'"log_post":{float(log_post)!r},"stages":{stages}}}\n')
 
 
 def read_trace(path: str | Path) -> list[dict]:

@@ -9,11 +9,18 @@ touch an unranked item are dropped from the comparison.
 One kernel (ranking_pair_signs, compared_pairs, pair_counts) makes every
 pair comparison in the package: here over an object array, so stages of
 any size compare exactly, and in the fitter over the respondents' array.
+
+A ranking's entries are checked once, when it is built: plain ints pass
+with one type test each, and anything else (numpy integers, which are
+converted; bool, float and text, which are refused) takes the general
+path. A collection of rankings is checked against a length and a stage
+domain by stage_matrix, one array check over all of their entries.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,6 +83,18 @@ def _normalize_stage_entry(value, index: int, allow_missing: bool) -> Optional[i
     return value
 
 
+def _normalized(stages, allow_missing: bool) -> tuple[Optional[int], ...]:
+    stages = tuple(stages)
+    for v in stages:
+        if type(v) is not int or v < 1:
+            if v is MISSING and allow_missing:
+                continue
+            return tuple(
+                _normalize_stage_entry(v, i, allow_missing) for i, v in enumerate(stages)
+            )
+    return stages
+
+
 @dataclass(frozen=True)
 class PartialRanking:
     """One respondent's stage per item, with MISSING for unranked items."""
@@ -83,12 +102,9 @@ class PartialRanking:
     stages: tuple[Optional[int], ...]
 
     def __post_init__(self):
-        normalized = tuple(
-            _normalize_stage_entry(v, i, allow_missing=True)
-            for i, v in enumerate(self.stages)
-        )
-        object.__setattr__(self, "stages", normalized)
-        if all(v is MISSING for v in self.stages):
+        stages = _normalized(self.stages, allow_missing=True)
+        object.__setattr__(self, "stages", stages)
+        if stages.count(MISSING) == len(stages):
             raise ValueError("a ranking must observe at least one item")
 
     @property
@@ -123,11 +139,7 @@ class CentralRanking:
     stages: tuple[int, ...]
 
     def __post_init__(self):
-        normalized = tuple(
-            _normalize_stage_entry(v, i, allow_missing=False)
-            for i, v in enumerate(self.stages)
-        )
-        object.__setattr__(self, "stages", normalized)
+        object.__setattr__(self, "stages", _normalized(self.stages, allow_missing=False))
         if len(self.stages) == 0:
             raise ValueError("a ranking needs at least one item")
 
@@ -147,6 +159,29 @@ class CentralRanking:
 
 
 Ranking = Union[PartialRanking, CentralRanking]
+
+
+def stage_matrix(
+    rankings: Sequence[Ranking], n: int, domain: StageDomain
+) -> tuple[np.ndarray, int]:
+    """The stages of the leading rankings that have n entries, as one
+    (rows, n) object array with 0 for MISSING, and how many rows that is:
+    the index of the first ranking of another length, else len(rankings).
+
+    The first of those rankings with a stage outside the domain is refused
+    with its check_domain ValueError. A ranking's entries are ints >= 1 or
+    MISSING, so one comparison over the array finds it.
+    """
+    rows = [ranking.stages for ranking in rankings]
+    wrong = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) != n
+    count = int(wrong.argmax()) if wrong.any() else len(rows)
+    flat = np.fromiter(itertools.chain.from_iterable(rows[:count]), dtype=object,
+                       count=count * n)
+    stages = np.where(np.equal(flat, MISSING), 0, flat).reshape(count, n)
+    outside = (stages > domain.l).any(axis=1)
+    if outside.any():
+        rankings[int(outside.argmax())].check_domain(domain)
+    return stages, count
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mallows import MallowsParams, sample
+from .mallows import MallowsParams, check_capacity, default_cache
+from .mallows import sample  # noqa: F401  perfbench/tracer.py times synth.sample by name
 from .rankings import MISSING, DistanceConfig, PartialRanking
 
 
@@ -50,7 +51,7 @@ def _round_half_up(x: float) -> int:
 
 def _censor(
     stages: tuple[int, ...], rng: np.random.Generator, cfg: SynthConfig
-) -> PartialRanking:
+) -> tuple[int | None, ...]:
     n = len(stages)
     cutoff = _round_half_up(
         float(rng.normal(cfg.censor_location_factor * n, cfg.censor_scale))
@@ -61,9 +62,7 @@ def _censor(
     order = np.argsort(np.asarray(stages), kind="stable")
     keep = max(cutoff - 1, 1)
     dropped = set(int(i) for i in order[keep:])
-    return PartialRanking(
-        tuple(MISSING if i in dropped else v for i, v in enumerate(stages))
-    )
+    return tuple(MISSING if i in dropped else v for i, v in enumerate(stages))
 
 
 def generate(
@@ -75,13 +74,16 @@ def generate(
     uniformly, are censored. Returns the responses along with the
     generating parameters.
     """
+    truth = cfg.truth
     rng = np.random.default_rng(cfg.seed)
-    complete = sample(cfg.truth, dist_cfg, rng=rng, count=cfg.size)
-    responses: list[PartialRanking] = [r.as_partial() for r in complete]
+    # The draws of mallows.sample, one ranking per respondent built from them.
+    check_capacity(truth.n, truth.l, draws=cfg.size)
+    stages = default_cache().draw(truth.center.stages, truth.l, dist_cfg.p, truth.spread,
+                                  rng, cfg.size)
 
     n_censored = _round_half_up(cfg.missing_percent * cfg.size / 100.0)
     if n_censored > 0:
         chosen = rng.choice(cfg.size, size=n_censored, replace=False)
-        for idx in chosen:
-            responses[int(idx)] = _censor(complete[int(idx)].stages, rng, cfg)
-    return responses, cfg.truth
+        for idx in chosen.tolist():
+            stages[idx] = _censor(stages[idx], rng, cfg)
+    return [PartialRanking(row) for row in stages], truth

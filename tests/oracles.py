@@ -7,8 +7,11 @@ so library bugs cannot leak into the expected values.
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -132,3 +135,23 @@ def naive_log_posterior(data, center, l, spread, prior_center, p=0.5, pi_spread=
         naive_psi(tuple(prior_center), l, s, p)
     )
     return ll + lam_term + pi_term
+
+
+def naive_read_dataset(csv_path):
+    """(respondent ids, stage tuples) of a well-formed dataset CSV and its
+    sidecar, read row by row: respondents in order of first appearance,
+    None for an item that is unranked (an empty or blank stage cell, or no
+    row), and stage labels shifted by the sidecar's offset into 1..l."""
+    csv_path = Path(csv_path)
+    meta = json.loads(csv_path.with_suffix(".meta.json").read_text(encoding="utf-8"))
+    column = {str(label): k for k, label in enumerate(meta["items"])}
+    offset = meta["stage_label_offset"]
+    stages = {}
+    with csv_path.open(newline="", encoding="utf-8") as handle:
+        rows = csv.reader(handle)
+        next(rows)
+        for rid, item, text in rows:
+            entry = stages.setdefault(rid, [None] * len(column))
+            if text.strip():
+                entry[column[item]] = int(text) - offset + 1
+    return list(stages), [tuple(entry) for entry in stages.values()]

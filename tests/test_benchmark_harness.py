@@ -1,13 +1,13 @@
 """Smoke tests of the benchmark harness in perfbench/ and of the layer
-harnesses scripts/time_rows.py and scripts/time_chain.py, run as a user
-runs them.
+harnesses scripts/time_rows.py, scripts/time_chain.py and scripts/time_io.py,
+run as a user runs them.
 
 The traced run wraps PartitionCache.log_psi and PartitionCache.histogram by
 name and checks that the layers' self times add up to the traced wall
 time within 5%, so this test fails when a refactor of the package breaks
 the names the tracer patches or the harness's own checks. time_rows.py
-clears the stage-count caches by name, and time_chain.py times the chain's
-private evaluator, so they break the same way.
+clears the stage-count caches by name, and time_chain.py and time_io.py
+time the chain's private evaluator, so they break the same way.
 """
 
 import json
@@ -46,6 +46,14 @@ def test_row_harness_times_every_space():
     spaces = _run_script("time_rows.py")["spaces"]
     assert len(spaces) == 4
     assert all(space["row_s"] > 0 for space in spaces), spaces
+
+
+def test_io_harness_times_every_call():
+    figures = _run_script("time_io.py")
+    assert figures["M"] == 3000 and figures["retained_samples"] == 1000
+    assert sorted(figures["calls"]) == ["evaluator_init", "generate", "read_dataset",
+                                        "write_raw_dataset", "write_trace"]
+    assert all(call["us_per_row"] > 0 for call in figures["calls"].values()), figures
 
 
 def test_chain_harness_times_every_layer():

@@ -74,6 +74,17 @@ class TestSimulate:
         )
         assert result.exit_code == 2
 
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3.
+    @pytest.mark.parametrize("token", ["1_0", "\u0663"])
+    def test_center_stages_are_ascii_digits(self, runner, tmp_path, token):
+        result = runner.invoke(
+            cli,
+            ["simulate", "--n", "3", "--l", "10", "--lambda", "1", "--M", "5",
+             "--center", f"{token},1,2", "--out", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--center must be a ranking file or a comma list of stages" in result.output
+
     def test_capacity_exit_code(self, runner, tmp_path):
         result = runner.invoke(
             cli,

@@ -299,6 +299,41 @@ class TestMcmcFit:
 
 
 class TestEvaluator:
+    @staticmethod
+    def build(*stages, l=3):
+        data = [PartialRanking(s) for s in stages]
+        return inference._Evaluator(data, StageDomain(l), PriorConfig(center=central(1, 2)),
+                                    DistanceConfig())
+
+    def test_out_of_domain_respondent_refused(self):
+        with pytest.raises(ValueError, match=r"^entry 1 has stage 4 outside 1\.\.3$"):
+            self.build((1, 2), (None, 4))
+
+    def test_wrong_length_respondent_refused(self):
+        with pytest.raises(ValueError, match="^respondent 1 has 3 items, expected 2$"):
+            self.build((1, 2), (1, 2, 3))
+
+    def test_first_faulty_respondent_is_named(self):
+        with pytest.raises(ValueError, match="^entry 0 has stage 7 outside"):
+            self.build((1, 2), (7, 1), (1, 2, 3))
+        with pytest.raises(ValueError, match="^respondent 1 has 1 items"):
+            self.build((1, 2), (1,), (7, 1))
+
+    @pytest.mark.parametrize("entry", [True, False, 2.0, 1.5])
+    def test_bool_and_float_entries_refused(self, entry):
+        with pytest.raises(ValueError, match="^entry 1 must be an int stage or MISSING"):
+            self.build((1, entry))
+
+    def test_numpy_integers_are_plain_stages(self):
+        plain = self.build((1, 2), (3, None), (2, 2))
+        typed = self.build((np.int64(1), np.int8(2)), (np.uint16(3), None), (np.int32(2), 2))
+        assert np.array_equal(plain._tallies, typed._tallies)
+        assert np.array_equal(plain._group_items, typed._group_items)
+        (d, rows, prior_d), (typed_d, typed_rows, typed_prior_d) = (
+            ev.center_stats((2, 1)) for ev in (plain, typed))
+        assert (d, prior_d) == (typed_d, typed_prior_d)
+        assert np.array_equal(plain._rows[rows], typed._rows[typed_rows])
+
     @pytest.mark.parametrize("l", [2, 3, 5])
     @pytest.mark.parametrize("tie", [0.5, 0.731, 1.0])
     def test_tally_distance_matches_definition(self, l, tie):

@@ -1,8 +1,13 @@
+import csv
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagemallows.errors import FormatError
 from stagemallows.inference import FitResult, McmcTrace
@@ -28,6 +33,8 @@ from stagemallows.rankings import (
     PartialRanking,
     StageDomain,
 )
+
+from oracles import naive_read_dataset
 
 
 @pytest.fixture
@@ -146,6 +153,201 @@ class TestReadDataset:
         with pytest.raises(FormatError) as err:
             read_dataset(path)
         assert "beta" in str(err.value)
+
+
+# Every refusal of read_dataset, with its whole message: CSV body (after the
+# header), sidecar, and the expected str(FormatError). Where a file has two
+# faults, the first in file order is the one reported.
+_REFUSALS = {
+    "short-row": ("r1,alpha,1\nr1,beta\n", GOOD_META, "row 3: expected 3 columns"),
+    "long-row": ("r1,alpha,1,x\n", GOOD_META, "row 2: expected 3 columns"),
+    "unknown-item": ("r1,delta,1\n", GOOD_META, "row 2: unknown item 'delta'"),
+    "duplicate": ("r1,alpha,1\nr1,alpha,2\nr1,beta,1\n", GOOD_META,
+                  "row 3: duplicate cell for respondent 'r1', item 'alpha'"),
+    "duplicate-empty": ("r1,alpha,\nr1,alpha,\nr1,beta,1\n", GOOD_META,
+                        "row 3: duplicate cell for respondent 'r1', item 'alpha'"),
+    "duplicate-apart": ("r1,beta,\nr2,alpha,1\nr1,beta,2\n", GOOD_META,
+                        "row 4: duplicate cell for respondent 'r1', item 'beta'"),
+    "not-integer": ("r1,alpha,x\n", GOOD_META, "row 2: stage 'x' is not an integer"),
+    "decimal": ("r1,alpha,1.0\n", GOOD_META, "row 2: stage '1.0' is not an integer"),
+    "above-domain": ("r1,alpha,4\n", GOOD_META,
+                     "row 2: stage label 4 falls outside the declared domain (1..3)"),
+    "below-offset": ("r1,alpha,1\n", {**GOOD_META, "l": 4, "stage_label_offset": 2},
+                     "row 2: stage label 1 falls outside the declared domain (2..5)"),
+    "respondent-without-items": ("r1,alpha,\nr1,beta, \nr2,alpha,1\nr2,beta,1\n", GOOD_META,
+                                 "respondent 'r1' observed no items"),
+    "item-never-observed": ("r1,alpha,1\n", GOOD_META,
+                            "items never observed by any respondent: ['beta']"),
+    "duplicate-then-bad-stage": ("r1,alpha,1\nr1,alpha,1\nr1,beta,x\n", GOOD_META,
+                                 "row 3: duplicate cell for respondent 'r1', item 'alpha'"),
+    "bad-stage-then-duplicate": ("r1,alpha,x\nr1,beta,1\nr1,beta,1\n", GOOD_META,
+                                 "row 2: stage 'x' is not an integer"),
+    "duplicate-with-bad-stage": ("r1,alpha,1\nr1,alpha,x\n", GOOD_META,
+                                 "row 3: duplicate cell for respondent 'r1', item 'alpha'"),
+    "unknown-item-then-duplicate": ("r1,alpha,1\nr1,delta,1\nr1,alpha,1\n", GOOD_META,
+                                    "row 3: unknown item 'delta'"),
+    "duplicate-then-short-row": ("r1,alpha,1\nr1,alpha,1\nr1\n", GOOD_META,
+                                 "row 3: duplicate cell for respondent 'r1', item 'alpha'"),
+    "domain-then-respondent-without-items": ("r2,beta,\nr1,alpha,9\n", GOOD_META,
+                                             "row 3: stage label 9 falls outside the "
+                                             "declared domain (1..3)"),
+    "respondent-without-items-and-item-never-observed": (
+        "r1,alpha,\nr2,alpha,1\n", GOOD_META, "respondent 'r1' observed no items"),
+    "bad-header": (None, GOOD_META,
+                   "expected header respondent_id,item,stage, got ['who', 'what', 'when']"),
+    "malformed-l": ("r1,alpha,1\n", {**GOOD_META, "l": 2.5},
+                    "sidecar has malformed items, l or stage_label_offset: "
+                    "2.5 is not a whole number"),
+    "boolean-offset": ("r1,alpha,1\n", {**GOOD_META, "stage_label_offset": True},
+                       "sidecar has malformed items, l or stage_label_offset: "
+                       "True is not a whole number"),
+    "missing-key": ("r1,alpha,1\n", {"items": ["alpha", "beta"], "l": 3},
+                    "sidecar is missing the 'stage_label_offset' key"),
+    "sidecar-not-object": ("r1,alpha,1\n", ["alpha"], "sidecar must hold a JSON object"),
+}
+
+
+@pytest.mark.parametrize("body,meta,message", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_every_refusal_keeps_its_message_and_row(tmp_path, body, meta, message):
+    text = "who,what,when\n" if body is None else "respondent_id,item,stage\n" + body
+    with pytest.raises(FormatError) as err:
+        read_dataset(_write_csv(tmp_path, text, meta))
+    assert str(err.value) == message
+    row = message.split(":")[0]
+    assert err.value.row == (int(row[4:]) if row.startswith("row ") else None)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0663"])
+def test_stage_cell_is_ascii_digits_with_an_optional_sign(tmp_path, cell):
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3.
+    meta = {**GOOD_META, "l": 10}
+    with pytest.raises(FormatError) as err:
+        read_dataset(_write_csv(tmp_path, f"respondent_id,item,stage\nr1,alpha,{cell}\n", meta))
+    assert str(err.value) == f"row 2: stage {cell!r} is not an integer"
+
+
+def test_file_refusals_name_the_file(tmp_path):
+    path = tmp_path / "data.csv"
+    with pytest.raises(FormatError, match="^dataset file not found: "):
+        read_dataset(path)
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(FormatError, match="^dataset sidecar not found: .*data.meta.json$"):
+        read_dataset(path)
+    sidecar_path(path).write_text("{", encoding="utf-8")
+    with pytest.raises(FormatError, match="^sidecar is not valid JSON: Expecting"):
+        read_dataset(path)
+    sidecar_path(path).write_text(json.dumps(GOOD_META), encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_dataset(path)
+    assert str(err.value) == "expected header respondent_id,item,stage, got None"
+
+
+# Labels and ids with the characters the CSV quotes, blanks and digits.
+_TEXT = st.text(st.sampled_from('ab1 ,"é'), min_size=1, max_size=5)
+
+
+@st.composite
+def _dataset_files(draw):
+    """(CSV text, sidecar) of a well-formed dataset, its cells in any order:
+    unranked items as empty or blank cells or no row, and stage labels
+    shifted by an offset, with optional blanks and sign."""
+    labels = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    l = draw(st.integers(1, 4))
+    offset = draw(st.integers(-3, 3))
+    ids = draw(st.lists(_TEXT, min_size=1, max_size=6, unique=True))
+    stage = st.none() | st.integers(1, l)
+    table = [draw(st.lists(stage, min_size=len(labels), max_size=len(labels))) for _ in ids]
+    # Every respondent observes an item, and every item is observed.
+    for k, stages in enumerate(table):
+        if all(v is None for v in stages):
+            stages[k % len(labels)] = 1
+    for i in range(len(labels)):
+        if all(stages[i] is None for stages in table):
+            table[0][i] = l
+    rows = []
+    for rid, stages in zip(ids, table):
+        for item, stage in zip(labels, stages):
+            if stage is None:
+                cell = draw(st.sampled_from([None, "", "  "]))
+            else:
+                label = stage + offset - 1
+                forms = ["{}", " {} ", "+{}"] if label >= 0 else ["{}", " {} "]
+                cell = draw(st.sampled_from(forms)).format(label)
+            if cell is not None:
+                rows.append((rid, item, cell))
+    rows = draw(st.permutations(rows))
+    lines = [["respondent_id", "item", "stage"], *rows]
+    meta = {"items": labels, "l": l, "stage_label_offset": offset}
+    return lines, meta
+
+
+@given(_dataset_files())
+@settings(max_examples=150, deadline=None)
+def test_reader_matches_a_plain_csv_loop(file):
+    lines, meta = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(lines)
+        sidecar_path(path).write_text(json.dumps(meta), encoding="utf-8")
+        ds = read_dataset(path)
+        ids, stages = naive_read_dataset(path)
+        write_dataset(ds, path)
+        again = read_dataset(path)
+    assert [rid for rid, _ in ds.responses] == ids
+    assert [ranking.stages for _, ranking in ds.responses] == stages
+    assert again == ds
+
+
+def test_bundled_survey_matches_a_plain_csv_loop():
+    ds = read_dataset(demo_dataset_path())
+    ids, stages = naive_read_dataset(demo_dataset_path())
+    assert [rid for rid, _ in ds.responses] == ids
+    assert [ranking.stages for _, ranking in ds.responses] == stages
+
+
+class TestDatasetRefusals:
+    """QuestionnaireDataset refuses respondents that do not fit its items and
+    domain, the first faulty respondent in order being the one named."""
+
+    @staticmethod
+    def build(*stages, l=3):
+        return QuestionnaireDataset(
+            items=ItemSet(("a", "b")), stage_domain=StageDomain(l), stage_label_offset=1,
+            responses=tuple((f"r{k}", PartialRanking(s)) for k, s in enumerate(stages)),
+        )
+
+    def test_out_of_domain(self):
+        with pytest.raises(ValueError, match=r"^entry 1 has stage 4 outside 1\.\.3$"):
+            self.build((1, 2), (1, 4))
+
+    def test_wrong_length(self):
+        with pytest.raises(ValueError, match="^respondent 'r1' has 3 entries, expected 2$"):
+            self.build((1, 2), (1, 2, 3))
+
+    def test_first_faulty_respondent_is_named(self):
+        with pytest.raises(ValueError, match="^entry 0 has stage 5 outside"):
+            self.build((5, 1), (1, 2, 3))
+        with pytest.raises(ValueError, match="^respondent 'r0' has 1 entries"):
+            self.build((1,), (5, 1))
+
+    def test_duplicate_ids(self):
+        with pytest.raises(ValueError, match="^respondent ids must be unique$"):
+            QuestionnaireDataset(
+                items=ItemSet(("a",)), stage_domain=StageDomain(2), stage_label_offset=1,
+                responses=(("r", PartialRanking((1,))), ("r", PartialRanking((2,)))),
+            )
+
+    @pytest.mark.parametrize("entry", [True, 1.0, 2.5, "2"])
+    def test_bool_float_and_text_entries(self, entry):
+        with pytest.raises(ValueError, match="^entry 0 must be an int stage or MISSING"):
+            self.build((entry, 1))
+
+    def test_numpy_integers_are_plain_stages(self):
+        ds = self.build((np.int64(1), np.int32(3)), (np.uint8(2), MISSING))
+        assert ds.responses[0][1].stages == (1, 3)
+        assert all(type(v) is int for v in ds.responses[0][1].stages)
+        assert ds == self.build((1, 3), (2, MISSING))
 
 
 class TestBundledDataset:
