@@ -138,9 +138,10 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
 
     # One pass keeps each row's cell, respondent * n + item with respondents
     # numbered in order of first appearance, and its internal stage (0 when
-    # blank). A fault in a row ends the pass. Duplicate cells are found after
-    # it, over every cell read, so a duplicate in an earlier row, or in the
-    # faulty row itself if its item is known, is reported first, as when
+    # blank). A fault in a row ends the pass, as does text that the csv
+    # module or the UTF-8 decoder cannot read. Duplicate cells are found
+    # after it, over every cell read, so a duplicate in an earlier row, or in
+    # the faulty row itself if its item is known, is reported first, as when
     # every row was checked in turn.
     respondents: dict[str, int] = {}
     stage_of: dict[str, int] = {}
@@ -295,11 +296,8 @@ def write_json(payload: Mapping, path: str | Path) -> None:
 
 def item_response_rates(ds: QuestionnaireDataset) -> np.ndarray:
     """Fraction of respondents with an observed entry, per item."""
-    counts = np.zeros(ds.items.n, dtype=np.int64)
-    for _, ranking in ds.responses:
-        for idx in ranking.observed_indices:
-            counts[idx] += 1
-    return counts / max(ds.m, 1)
+    stages, _ = stage_matrix(ds.rankings(), ds.items.n, ds.stage_domain)
+    return (stages != 0).sum(axis=0, dtype=np.int64) / max(ds.m, 1)
 
 
 def filter_items(ds: QuestionnaireDataset, min_rate: float) -> QuestionnaireDataset:

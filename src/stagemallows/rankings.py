@@ -118,7 +118,7 @@ class PartialRanking:
     @property
     def r(self) -> int:
         """Number of observed items."""
-        return len(self.observed_indices)
+        return len(self.stages) - self.stages.count(MISSING)
 
     @property
     def is_complete(self) -> bool:
