@@ -92,10 +92,10 @@ def check_capacity(n: int, l: int, draws: int = 0) -> int:
     (_stage_step), are far smaller: all of them at n = 16, l = 4 hold about
     17.8 MB, against an estimate of 454 MB.
     Each of `draws` rankings adds 512 + 128 n bytes for its arrays, Python
-    rankings and dataset text; tracemalloc measured at most 0.48 KB per
-    `simulate` respondent at n = 8, 1.55 KB at n = 40. A chain's retained
-    samples are draws too: trace rows and trace text took 350, 409, 491 and
-    733 bytes each at n = 2, 8, 16 and 40. n < 1 or l < 1 is not a space
+    rankings and dataset text; a `simulate` of 20,000 respondents peaked
+    (tracemalloc) at 0.48 KB each at n = 8, 1.55 KB at n = 40. A chain's
+    retained samples are draws too: trace rows and trace text took 350, 409,
+    491 and 733 bytes each at n = 2, 8, 16 and 40. n < 1 or l < 1 is not a space
     (ValueError).
     """
     if n < 1 or l < 1:
