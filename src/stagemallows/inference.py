@@ -247,7 +247,9 @@ class _Evaluator:
         self._group_counts = np.array(list(groups.values()), dtype=np.float64)
 
         self.grid = distance_grid(n, cfg.p)
-        self._rows = np.empty((0, len(self.grid)))
+        # Rows fill self._rows[:self._row_count]; it doubles when full.
+        self._rows = np.empty((1, len(self.grid)))
+        self._row_count = 0
         self._row_of: dict[tuple[int, ...], int] = {}
         self._center_stats: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
         self._prior_row = self._row(structural_class(prior.center))
@@ -267,9 +269,11 @@ class _Evaluator:
             class_key = class_of_sizes(sizes)
             index = self._row_of.get(class_key)
             if index is None:
-                row = default_cache().row(self.n, self.l, class_key, self.cfg.p)
-                self._rows = np.vstack([self._rows, row])
-                index = len(self._rows) - 1
+                index = self._row_count
+                if index == len(self._rows):
+                    self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+                self._rows[index] = default_cache().row(self.n, self.l, class_key, self.cfg.p)
+                self._row_count += 1
             self._row_of[sizes] = self._row_of[class_key] = index
         return index
 

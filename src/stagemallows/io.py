@@ -150,11 +150,15 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
     fault: Exception | None = None
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as err:
+            raise FormatError(str(err), row=1) from err
         if header != ["respondent_id", "item", "stage"]:
             raise FormatError(
                 f"expected header respondent_id,item,stage, got {header}"
             )
+        row_no = 1
         try:
             for row_no, row in enumerate(reader, start=2):
                 if len(row) != 3:
@@ -174,7 +178,10 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
                         fault = FormatError(str(err), row=row_no)
                         break
                 stages.append(stage)
-        except (csv.Error, UnicodeDecodeError) as err:
+        except csv.Error as err:
+            # The reader failed on the row after the last one it returned.
+            fault = FormatError(str(err), row=row_no + 1)
+        except UnicodeDecodeError as err:
             fault = err
 
     cells = np.array(cells, dtype=np.int64)
@@ -280,7 +287,7 @@ def write_raw_dataset(
 
 
 def _csv_cell(value: str) -> str:
-    if any(c in value for c in ",\"\n"):
+    if any(c in value for c in ",\"\r\n"):
         return '"' + value.replace('"', '""') + '"'
     return value
 

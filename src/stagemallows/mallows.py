@@ -79,15 +79,19 @@ class MallowsParams:
 def check_capacity(n: int, l: int, draws: int = 0) -> int:
     """Return the estimated peak bytes for {1..l}^n, or refuse the space.
 
-    A space is refused (CapacityError) when l^n reaches 2^63, because every
-    multiplicity and count sum of the stage-count program is at most l^n
-    and int64 holds it exactly only below that; or when the estimate
-    exceeds CAPACITY_BYTE_BUDGET. With k = min(l, n) stages in the program
-    and P = C(n, 2) item pairs, its largest (state, key) table has at most
-    C(n+k-1, k-1) * (P+1)^2 int64 cells, the key (P+1) d + e being the
+    A space is refused (CapacityError) when l^n reaches 2^63, because the
+    int64 multiplicities and count sums over the space (a row's, a
+    histogram's, the scaling from k to l stages) are at most l^n and int64
+    holds them exactly only below that; or when the estimate exceeds
+    CAPACITY_BYTE_BUDGET. With k = min(l, n) stages in the program and
+    P = C(n, 2) item pairs, its largest (state, key) table has at most
+    C(n+k-1, k-1) * (P+1)^2 float64 cells, the key (P+1) d + e being the
     widest; the estimate is four such tables (the table, the one before it
-    or its nonzero cells, and the scatter's index and value temporaries),
+    or its nonzero cells, and the scatter's index and weight temporaries),
     plus 20 bytes per pair of pair lists and the n-by-l float64 marginals.
+    The budget also keeps the program's float64 counts exact: each is at
+    most k^n, and no accepted space has k^n past 2^48 (l = 2, n = 48),
+    below the 2^53 where float64 stops holding every integer.
     The program's steps, shared by every class and kept for the process
     (_stage_step), are far smaller: all of them at n = 16, l = 4 hold about
     17.8 MB, against an estimate of 454 MB.
@@ -224,28 +228,45 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
     Runs the stage-count program (see _stage_steps), with table[u, key]
     counting the ways to reach state u with that key among the items
     placed: one row of keys per state, not a (d, e) plane. Most cells are
-    zero, so each step moves only the nonzero ones. np.add.at sums the edges
-    that meet, for as many compositions at once as keep its index and value
-    temporaries within the size of the grown table.
+    zero, so each step moves only the nonzero ones, in blocks of as many
+    compositions as keep the index and weight temporaries within the size
+    of the grown table: one weighted np.bincount per block sums the edges
+    that meet. A step that needs more than one block adds each composition
+    in place instead, which is exact because one composition moves distinct
+    cells to distinct cells. The final table is summed over its states, so
+    when l <= n the last bucket lands straight on the key axis, by blocks.
 
-    At most n stages are occupied, so for l > n the program runs over n
-    stages: a final state with j occupied stages stands for C(n, j) ways
-    to choose them there and C(l, j) over l stages.
+    The counts are float64, and exact: each is at most k^n, with k = min(l, n)
+    stages in the program, and check_capacity accepts no space where k^n
+    reaches 2^53. The result is int64. At most n stages are occupied, so for
+    l > n the program runs over n stages: a final state with j occupied
+    stages stands for C(n, j) ways to choose them there and C(l, j) over l
+    stages, a scaling done in int64, exact below l^n < 2^63.
     """
     n = sum(class_key)
     steps, final_states = _stage_steps(class_key, min(l, n))
-    table = np.ones((1, 1), dtype=np.int64)
-    for step in steps:
+    table = np.ones((1, 1))
+    for i, step in enumerate(steps, start=1):
         state, key = np.nonzero(table)
         count = table[state, key]
         shift = alpha * step.discordant + beta * step.tied
-        table = np.zeros((step.states, table.shape[1] + int(shift.max())), dtype=np.int64)
-        base = step.dest * table.shape[1] + shift
-        block = max(1, table.size // (2 * len(count)))
-        for c in range(0, len(step.mult), block):
-            chosen = slice(c, c + block)
-            np.add.at(table.reshape(-1), base[state, chosen] + key[:, np.newaxis],
-                      count[:, np.newaxis] * step.mult[chosen])
+        width = table.shape[1] + int(shift.max())
+        block = max(1, step.states * width // (2 * len(count)))
+        last = i == len(steps) and l <= n
+        base, size = (shift, width) if last else (step.dest * width + shift, step.states * width)
+        if last or block >= len(step.mult):
+            parts = (np.bincount((base[state, c:c + block] + key[:, np.newaxis]).ravel(),
+                                 (count[:, np.newaxis] * step.mult[c:c + block]).ravel(), size)
+                     for c in range(0, len(step.mult), block))
+            table = next(parts)
+            for part in parts:
+                table += part
+        else:
+            table = np.zeros(size)
+            for c, mult in enumerate(step.mult):
+                table[base[state, c] + key] += count * mult
+        table = table.reshape(-1, width)
+    table = table.astype(np.int64)
     if l > n:
         occupied = np.count_nonzero(final_states, axis=1)
         table = np.stack([
@@ -337,6 +358,7 @@ class PartitionCache:
     def __init__(self):
         self._lock = threading.Lock()
         self._rows: dict[tuple, np.ndarray] = {}
+        self._lookups: dict[tuple, tuple] = {}
         self._draw_terms: dict[tuple, tuple] = {}
 
     def _draw_tables(
@@ -450,6 +472,28 @@ class PartitionCache:
         keys = np.flatnonzero(counts)
         return (*np.divmod(keys, pairs + 1), counts[keys])
 
+    def _key_lookup(self, r: int, n: int, p: float) -> tuple[int, int, np.ndarray]:
+        """(alpha, beta, lookup): the key alpha d + beta e that rows of r items
+        run the program over at p (see row), and each key's index in
+        distance_grid(n, p). Kept per (r, n, p): every class of r items
+        shares it."""
+        key = (r, n, p)
+        with self._lock:
+            hit = self._lookups.get(key)
+        if hit is not None:
+            return hit
+        pairs = math.comb(r, 2)
+        a, b = p.as_integer_ratio()
+        alpha, beta = (b, a) if b <= pairs + 1 else (pairs + 1, 1)
+        d, e = _pair_triangle(pairs)
+        # The grid holds these very sums, so each one is found exactly.
+        lookup = np.zeros(alpha * pairs + 1, dtype=np.intp)
+        lookup[alpha * d + beta * e] = np.searchsorted(distance_grid(n, p), d + p * e)
+        lookup.setflags(write=False)
+        with self._lock:
+            self._lookups[key] = (alpha, beta, lookup)
+        return alpha, beta, lookup
+
     def row(self, n: int, l: int, class_key: tuple[int, ...], p: float) -> np.ndarray:
         """The class's multiplicities over {1..l}^r, r = sum(class_key) <= n,
         summed per distance of distance_grid(n, p).
@@ -459,7 +503,9 @@ class PartitionCache:
         P = C(r, 2), the key is b d + a e = b (d + p e): the lattice, where
         equal keys are equal distances, 2d + e at p = 1/2. Otherwise it is
         (P+1) d + e, the (d, e) pair itself, as in histogram. A lookup built
-        from the (d, e) triangle maps each key to its grid index.
+        from the (d, e) triangle, kept per (r, n, p), maps each key to its
+        grid index. The program's counts are exact (see _stage_count_table);
+        the float64 row rounds an entry only past 2^53, which needs l > n.
         """
         key = (n, l, p, class_key)
         with self._lock:
@@ -468,17 +514,11 @@ class PartitionCache:
             return hit
         r = sum(class_key)
         check_capacity(r, l)
-        pairs = math.comb(r, 2)
-        a, b = p.as_integer_ratio()
-        alpha, beta = (b, a) if b <= pairs + 1 else (pairs + 1, 1)
+        alpha, beta, lookup = self._key_lookup(r, n, p)
         counts = _stage_count_table(class_key, l, alpha, beta)
-        grid = distance_grid(n, p)
-        d, e = _pair_triangle(pairs)
-        # The grid holds these very sums, so each one is found exactly.
-        lookup = np.zeros(alpha * pairs + 1, dtype=np.intp)
-        lookup[alpha * d + beta * e] = np.searchsorted(grid, d + p * e)
         keys = np.flatnonzero(counts)
-        row = np.bincount(lookup[keys], weights=counts[keys], minlength=len(grid))
+        row = np.bincount(lookup[keys], weights=counts[keys],
+                          minlength=len(distance_grid(n, p)))
         row.setflags(write=False)
         with self._lock:
             self._rows[key] = row

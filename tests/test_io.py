@@ -154,6 +154,35 @@ class TestReadDataset:
             read_dataset(path)
         assert "beta" in str(err.value)
 
+    # The csv module refuses a field longer than csv.field_size_limit().
+    def test_oversized_field_names_its_row(self, tmp_path):
+        cell = "1" * (csv.field_size_limit() + 1)
+        path = _write_csv(
+            tmp_path, f"respondent_id,item,stage\nr1,alpha,1\nr1,beta,{cell}\n", GOOD_META
+        )
+        with pytest.raises(FormatError) as err:
+            read_dataset(path)
+        assert err.value.row == 3
+        assert str(err.value).startswith("row 3: field larger than field limit")
+
+    def test_oversized_header_field_is_a_format_error(self, tmp_path):
+        cell = "x" * (csv.field_size_limit() + 1)
+        path = _write_csv(tmp_path, f"respondent_id,item,{cell}\nr1,alpha,1\n", GOOD_META)
+        with pytest.raises(FormatError) as err:
+            read_dataset(path)
+        assert str(err.value).startswith("row 1: field larger than field limit")
+
+    def test_round_trip_keeps_carriage_returns(self, tmp_path):
+        ds = QuestionnaireDataset(
+            items=ItemSet(("a\rb", "c")),
+            stage_domain=StageDomain(2),
+            stage_label_offset=1,
+            responses=(("r\r1", PartialRanking((1, 2))), ("r2", PartialRanking((2, 1)))),
+        )
+        path = tmp_path / "ds.csv"
+        write_dataset(ds, path)
+        assert read_dataset(path) == ds
+
 
 # Every refusal of read_dataset, with its whole message: CSV body (after the
 # header), sidecar, and the expected str(FormatError). Where a file has two

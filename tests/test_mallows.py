@@ -66,6 +66,17 @@ class TestByteGuard:
     def test_accepts_sizes_in_use(self, n, l):
         assert check_capacity(n, l) <= CAPACITY_BYTE_BUDGET
 
+    def test_accepted_spaces_keep_float64_counts_exact(self):
+        # The stage-count program counts in float64, exact below 2^53, and
+        # each of its counts is at most k^n for k = min(l, n) stages.
+        for n in range(1, 120):
+            for l in [*range(1, 401), *(10**j for j in range(3, 19))]:
+                try:
+                    check_capacity(n, l)
+                except CapacityError:
+                    continue
+                assert min(l, n) ** n < 2**53, (n, l)
+
     @pytest.mark.parametrize("n,l", [(0, 3), (-1, 3), (3, 0)])
     def test_empty_spaces_are_not_spaces(self, n, l):
         with pytest.raises(ValueError):
@@ -279,6 +290,15 @@ class TestRow:
                     got = cache.row(n, l, class_key, p)
                     assert got.dtype == want.dtype, (p, class_key)
                     assert got.tobytes() == want.tobytes(), (p, class_key)
+
+    @pytest.mark.parametrize("n,l", [(48, 2), (28, 3), (20, 4)])
+    def test_largest_accepted_space_sums_to_exactly_l_to_the_n(self, n, l):
+        check_capacity(n, l)
+        with pytest.raises(CapacityError):
+            check_capacity(n + 1, l)
+        sizes = [n // l + (k < n % l) for k in range(l)]
+        row = PartitionCache().row(n, l, structural_class(bucket_center(sizes)), 0.5)
+        assert row.sum() == l**n
 
 
 def unique_buckets(center):
