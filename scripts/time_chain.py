@@ -17,9 +17,13 @@ of R timed passes over them (time.perf_counter), after one untimed pass:
 - ``center_stats_hit_us``: the same centers again, all found in the cache;
 - ``evaluate_us``: one move's partition terms, _Evaluator.evaluate of a
   center's stats at a spread;
-- ``draw_us`` and ``draw_rebuild_us``: one PartitionCache.draw around a
-  center, at the spread of the last draw (its tables kept) and at a new
-  spread each time (its tables rebuilt);
+- ``draw_us`` and ``draw_rebuild_us``: one PartitionCache.draw of one
+  ranking around a center, the call each chain iteration makes, at the
+  spread of the last draw (its shares kept) and at a new spread each time
+  (its shares rebuilt);
+- ``draw_batch_us``: one PartitionCache.draw of as many rankings as the
+  dataset has respondents, as ``simulate`` draws them, at the spread of
+  the last draw (its shares kept), per ranking drawn;
 - ``iteration_us``: one chain iteration, the difference between the
   fastest of R + 1 mcmc_fit runs of 2K iterations and of K iterations,
   divided by K, so that the fit's setup cancels (K is 500 on the survey,
@@ -101,6 +105,8 @@ def time_dataset(data, domain, prior_center, iterations: int, repeats: int) -> d
     spreads = list(SPREAD + rng.random(len(centers)))
     rebuild = per_call_us(lambda s: cache.draw(center, domain.l, cfg.p, s, rng, 1),
                           spreads, repeats)
+    batch = per_call_us(lambda _: cache.draw(center, domain.l, cfg.p, SPREAD, rng, len(data)),
+                        [None], repeats) / len(data)
 
     def fit_s(length: int) -> float:
         start = time.perf_counter()
@@ -113,7 +119,8 @@ def time_dataset(data, domain, prior_center, iterations: int, repeats: int) -> d
         "n": ev.n, "l": ev.l, "respondents": len(data), "centers": len(centers),
         "center_stats_miss_us": round(miss, 2), "center_stats_hit_us": round(hit, 2),
         "evaluate_us": round(evaluate, 2), "draw_us": round(draw, 2),
-        "draw_rebuild_us": round(rebuild, 2), "iteration_us": round(iteration, 2),
+        "draw_rebuild_us": round(rebuild, 2), "draw_batch_us": round(batch, 3),
+        "iteration_us": round(iteration, 2),
     }
 
 

@@ -100,6 +100,28 @@ def parse_int(text: str) -> int:
     return int(body)
 
 
+def _not_utf8(path: Path, what: str) -> FormatError:
+    """The refusal of a file that is not UTF-8 text, naming the line of its
+    first byte that does not decode. The CSV reader decodes in blocks, so
+    its error can surface rows before that byte: the file is read again,
+    on this error path only, to find it."""
+    data = path.read_bytes()
+    start = len(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        start = err.start
+    line = data.count(b"\n", 0, start) + 1
+    return FormatError(f"{what} {path}: line {line} is not UTF-8 text")
+
+
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path, what) from None
+
+
 def sidecar_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(_SIDEKICK_SUFFIX)
 
@@ -118,7 +140,7 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
         raise FormatError(f"dataset sidecar not found: {meta_path}")
 
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.loads(_read_text(meta_path, "sidecar"))
     except json.JSONDecodeError as err:
         raise FormatError(f"sidecar is not valid JSON: {err}") from err
     if not isinstance(meta, dict):
@@ -154,6 +176,8 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
             header = next(reader, None)
         except csv.Error as err:
             raise FormatError(str(err), row=1) from err
+        except UnicodeDecodeError:
+            raise _not_utf8(path, "dataset file") from None
         if header != ["respondent_id", "item", "stage"]:
             raise FormatError(
                 f"expected header respondent_id,item,stage, got {header}"
@@ -181,8 +205,8 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
         except csv.Error as err:
             # The reader failed on the row after the last one it returned.
             fault = FormatError(str(err), row=row_no + 1)
-        except UnicodeDecodeError as err:
-            fault = err
+        except UnicodeDecodeError:
+            fault = _not_utf8(path, "dataset file")
 
     cells = np.array(cells, dtype=np.int64)
     if len(cells) and np.bincount(cells).max() > 1:
@@ -356,7 +380,7 @@ def read_ranking_file(path: str | Path) -> tuple[list, int]:
     if not path.exists():
         raise FormatError(f"ranking file not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(_read_text(path, "ranking file"))
     except json.JSONDecodeError as err:
         raise FormatError(f"ranking file is not valid JSON: {err}") from err
     if not isinstance(payload, dict) or not isinstance(payload.get("stages"), list):

@@ -18,11 +18,14 @@ equal keys are equal distances; 2d + e at p = 1/2), else
 summed onto the distance grid of n items, make every partition term one
 row over that grid, and log psi at a spread is
 log(row @ exp(-grid / spread)) (log_psi_rows). The sampler runs
-the program backward at the requested spread and samples forward through
-it. Neither touches the l^n points. Both sit behind one capacity rule
-(check_capacity), which bounds the program's own tables and keeps its
-integer counts exact. The rows and the draw tables are kept per process,
-like the steps, in one PartitionCache (default_cache).
+the program backward at the requested spread, keeping each composition's
+share of the weight ahead, and samples forward through it: one draw, as
+the chain proposes, walks its own path through the shares, and a batch
+searches one cumulative table per bucket. Neither touches the l^n points.
+Both sit behind one capacity rule (check_capacity), which bounds the
+program's own tables and keeps its integer counts exact. The rows and the
+shares of the last spread drawn at are kept per process, like the steps,
+in one PartitionCache (default_cache).
 """
 
 from __future__ import annotations
@@ -46,9 +49,6 @@ from .rankings import (
 
 #: Largest peak, in bytes, that check_capacity lets a space's program take.
 CAPACITY_BYTE_BUDGET = 2**31
-
-_TINY = np.finfo(np.float64).tiny
-
 
 @dataclass(frozen=True)
 class MallowsParams:
@@ -348,7 +348,7 @@ class PartitionCache:
     program's steps are shared by all classes (see _stage_step).
     The histogram of (discordant, tied-in-one) pair counts is the same program
     over the key (P+1) d + e. The exact sampler runs the program backward
-    and samples forward through it; its edge distances, and the tables of
+    and samples forward through it; its edge distances, and the shares of
     the last spread drawn at, are cached per (l, p, class). Safe for
     concurrent use; racing writers recompute identical values. The process
     keeps one instance (default_cache), like the steps; a new instance
@@ -364,19 +364,22 @@ class PartitionCache:
     def _draw_tables(
         self, n: int, l: int, p: float, class_key: tuple[int, ...], spread: float
     ) -> tuple[tuple[_Step, ...], np.ndarray, list[np.ndarray]]:
-        """The class's program, its final states, and per bucket the table
-        that the draw picks compositions from at this spread.
+        """The class's program, its final states, and per bucket the shares
+        that the draw picks compositions by at this spread.
 
         Run backward from the final states, each weighted by C(l, j) / C(n, j)
         for its j occupied stages when l > n: ahead[s] sums, over the ways
         to finish from state s, their weights exp(-distance / spread) times
-        their multiplicities. Composition c then takes the share of ahead[s]
-        that goes through it. A bucket's table lists, for each state s in
-        turn, s - 1 plus the running sum of its shares, so that state s covers
-        (s - 1, s] and composition c the part above its predecessor's entry.
-        The tables of the last spread are kept per (l, p, class) with the
-        edge distances: the chain draws again at the same spread and class
-        after each rejected move.
+        their multiplicities. Composition c from state s takes the share
+        edge weight * ahead[dest[s, c]] of ahead[s]: one gather, one product
+        and one sum per bucket. The shares are laid out as (composition,
+        state), so that numpy sums each state's shares in composition order,
+        as the draw's running sums do. A state whose total underflows to 0
+        is never entered, since the share leading into it is 0. The shares
+        of the last spread are kept per (l, p, class) with the edge
+        distances, in one entry replaced whole under the lock, so that a
+        reader never pairs one spread with another's shares: the chain
+        draws again at the same spread and class after each rejected move.
         """
         key = (l, p, class_key)
         with self._lock:
@@ -388,33 +391,26 @@ class PartitionCache:
             if l > n:
                 ratio = np.array([math.comb(l, j) / math.comb(n, j) for j in range(n + 1)])
                 finish = ratio[np.count_nonzero(final_states, axis=1)]
-            dist = np.concatenate([(step.discordant + p * step.tied).ravel() for step in steps])
-            log_mult = np.concatenate([np.log(np.broadcast_to(step.mult, step.dest.shape)).ravel()
+            dist = np.concatenate([(step.discordant + p * step.tied).T.ravel() for step in steps])
+            log_mult = np.concatenate([np.repeat(np.log(step.mult), step.dest.shape[0])
                                        for step in steps])
-            offsets = [np.arange(-1, len(step.dest) - 1)[:, np.newaxis] for step in steps]
-            entry = (steps, final_states, (dist, log_mult, finish, offsets), None, None)
-        steps, final_states, terms, last_spread, tables = entry
+            into = [np.ascontiguousarray(step.dest.T) for step in steps]
+            entry = (steps, final_states, (dist, log_mult, finish, into), None, None)
+        steps, final_states, terms, last_spread, shares = entry
         if last_spread != spread:
-            dist, log_mult, finish, offsets = terms
+            dist, log_mult, finish, into = terms
             edge_w = np.exp(log_mult - dist / spread)
-            tables, ahead, end = [], finish, len(edge_w)
-            for step, offset in zip(reversed(steps), reversed(offsets)):
-                start = end - step.dest.size
-                weights = edge_w[start:end].reshape(step.dest.shape) * ahead[step.dest]
-                cum = weights.cumsum(axis=1)
-                ahead = cum[:, -1]
-                # Dividing by the row's own total ends each row at exactly 1.
-                # A state no way finishes from has only zero shares; it is
-                # never entered, and dividing by the smallest normal float
-                # instead keeps its row at zero.
-                table = cum / np.maximum(ahead, _TINY)[:, np.newaxis]
-                table += offset
-                tables.append(table.ravel())
+            shares, ahead, end = [], finish, len(edge_w)
+            for dest in reversed(into):
+                start = end - dest.size
+                share = edge_w[start:end].reshape(dest.shape) * ahead[dest]
+                ahead = share.sum(axis=0)
+                shares.append(share)
                 end = start
-            tables.reverse()
+            shares.reverse()
             with self._lock:
-                self._draw_terms[key] = (steps, final_states, terms, spread, tables)
-        return steps, final_states, tables
+                self._draw_terms[key] = (steps, final_states, terms, spread, shares)
+        return steps, final_states, shares
 
     def draw(
         self, center: tuple[int, ...], l: int, p: float, spread: float,
@@ -425,39 +421,71 @@ class PartitionCache:
         Runs the center's stage-count program backward at this spread (see
         _draw_tables), then samples forward through it: from the empty
         state, for each bucket in turn, one composition in proportion to
-        the weight of the ways to finish through it. The compositions fix
-        how many of each bucket's items go to each stage; the items take
-        those stages in a uniformly random order. For l > n the program
-        runs over n stages, and the j occupied ones are mapped in order
-        onto a uniformly random j-subset of the l stages. A center whose
-        buckets run against its class key's order is drawn reversed and
-        flipped back. Nothing here grows with l^n.
+        its share, the weight of the ways to finish through it. With one
+        uniform u per bucket and draw, that is the first composition whose
+        running share reaches (1 - u) of the state's total. One draw, the
+        call each chain iteration makes, walks its own path and places its
+        items in plain Python, reading one row of shares per bucket.
+        Several draws (simulate, sample) build each bucket's cumulative
+        table once per call, every state's row scaled to (s - 1, s], and
+        search it for all draws at once. The compositions fix how many of each
+        bucket's items go to each stage; the items take those stages in a
+        uniformly random order. For l > n the program runs over n stages,
+        and the j occupied ones are mapped in order onto a uniformly random
+        j-subset of the l stages. A center whose buckets run against its
+        class key's order is drawn reversed and flipped back. Nothing here
+        grows with l^n.
         """
         n = len(center)
         class_key, flip, bucket = center_buckets(center)
-        steps, final_states, tables = self._draw_tables(n, l, p, class_key, spread)
-        state = np.zeros(count, dtype=np.intp)
-        placed = []
-        for step, table, u in zip(steps, tables, rng.random((len(steps), count))):
+        steps, final_states, shares = self._draw_tables(n, l, p, class_key, spread)
+        if count == 1:
+            state, stages = 0, []
+            for step, share, u in zip(steps, shares, rng.random(len(steps)).tolist()):
+                run = list(itertools.accumulate(share[:, state].tolist()))
+                # 0 < target <= run[-1]: c stops at a composition with share.
+                target, c = (1.0 - u) * run[-1], 0
+                while run[c] < target:
+                    c += 1
+                stages += step.stages[c].tolist()
+                state = step.dest[state, c]
+            # The placement and the mapping below, in plain Python for one draw.
+            keys = [b + u for b, u in zip(bucket.tolist(), rng.random(n).tolist())]
+            x = [0] * n
+            for item, stage in zip(sorted(range(n), key=keys.__getitem__), stages):
+                x[item] = stage
+            if l > n:
+                occupied = final_states[state] > 0
+                subset = _uniform_subsets(occupied.sum(keepdims=True), l, rng)[0]
+                onto = subset[np.cumsum(occupied) - 1].tolist()
+                x = [onto[s] for s in x]
+            return [tuple(l - s for s in x) if flip else tuple(s + 1 for s in x)]
+
+        state, placed = np.zeros(count, dtype=np.intp), []
+        for step, share, u in zip(steps, shares, rng.random((len(steps), count))):
+            cum = share.cumsum(axis=0)
+            total = cum[-1]
+            # A state never entered has only zero shares: dividing them
+            # by 1 keeps its row at s - 1, and the table sorted.
+            table = cum / (total + (total == 0)) + np.arange(-1, len(total) - 1)
             # u lies in [0, 1), so state - u falls in the state's own range
             # (up to rounding) and never on a composition without share.
-            edge = table.searchsorted(state - u)
+            edge = table.T.ravel().searchsorted(state - u)
             placed.append(step.stages.take(edge % len(step.mult), axis=0))
             state = step.dest.take(edge)
 
         # The stages in bucket order, given to each bucket's items at random.
         stages = np.concatenate(placed, axis=1)
         items = (bucket + rng.random((count, n))).argsort(axis=1)
+        rows = np.arange(count)[:, np.newaxis]
         x = np.empty((count, n), dtype=np.int64)
-        x[np.arange(count)[:, np.newaxis], items] = stages
+        x[rows, items] = stages
         if l > n:
             occupied = final_states[state] > 0
             subsets = _uniform_subsets(occupied.sum(axis=1), l, rng)
-            x = np.take_along_axis(
-                np.take_along_axis(subsets, np.cumsum(occupied, axis=1) - 1, axis=1), x, axis=1
-            )
+            x = subsets[rows, (np.cumsum(occupied, axis=1) - 1)[rows, x]]
         x = l - x if flip else x + 1
-        return [tuple(row) for row in x.tolist()]
+        return list(map(tuple, x.tolist()))
 
     def histogram(
         self, n: int, l: int, class_key: tuple[int, ...]

@@ -263,6 +263,33 @@ class TestFit:
         assert report["stage_label_offset"] == 2
         assert min(report["map_center_labels"]) >= 2
 
+    # A byte 0xff in each file that fit reads. The data row's byte sits on
+    # line 3,001, far past the reader's first decoded block, so the decoder
+    # fails rows before the reader reaches it.
+    @pytest.mark.parametrize("where", ["row", "header", "sidecar", "prior"])
+    def test_bytes_that_are_not_utf8_are_a_format_error(self, runner, tmp_path, where):
+        header = b"respondent_id,item,st\xffage\n" if where == "header" else (
+            b"respondent_id,item,stage\n")
+        rows = [f"R{k},{item},{1 + k % 2}\n".encode() for k in range(2000) for item in "ab"]
+        if where == "row":
+            rows[2999] = rows[2999].replace(b"\n", b"\xff\n")
+        (tmp_path / "data.csv").write_bytes(header + b"".join(rows))
+        (tmp_path / "data.meta.json").write_bytes(
+            b'{"items": ["a", "b"], "l": 2, "stage_label_offset": 1, "provenance": "'
+            + (b"\xff" if where == "sidecar" else b"") + b'"}')
+        (tmp_path / "prior.json").write_bytes(
+            b'{"stages": [1, 2]}\n' + (b"\xff\n" if where == "prior" else b""))
+        result = runner.invoke(cli, [
+            "fit", "--data", str(tmp_path / "data.csv"),
+            "--prior-center", str(tmp_path / "prior.json"), "--iterations", "4",
+            "--burn-in", "2", "--out-dir", str(tmp_path / "fit"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "Usage" not in result.output
+        name, line = {"row": ("data.csv", 3001), "header": ("data.csv", 1),
+                      "sidecar": ("data.meta.json", 1), "prior": ("prior.json", 2)}[where]
+        assert f"{tmp_path / name}: line {line} is not UTF-8 text" in result.output
+
 
     @pytest.mark.parametrize(
         "text",

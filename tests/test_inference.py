@@ -199,10 +199,10 @@ class TestMcmcFit:
         assert np.array_equal(a.trace.log_posteriors, b.trace.log_posteriors)
 
     def test_warm_and_cold_caches_agree(self, monkeypatch):
-        # The first fit builds its rows and draw tables in a fresh process
-        # cache. The second finds them there, with each class's tables at the
+        # The first fit builds its rows and draw shares in a fresh process
+        # cache. The second finds them there, with each class's shares at the
         # spread the first left them, and the third finds the start center's
-        # tables at another spread; both must make the very same draws.
+        # shares at another spread; both must make the very same draws.
         data, truth = _synthetic(3, 3, 0.7, 12, seed=2)
         prior = PriorConfig(center=truth.center)
         mcmc = McmcConfig(iterations=200, burn_in=100, seed=3)

@@ -32,6 +32,18 @@ def params(stages, spread, l):
     return MallowsParams(CentralRanking(tuple(stages)), spread, StageDomain(l))
 
 
+def batch(p, rng, count):
+    """count draws from p, as stage tuples, in one call."""
+    return [r.stages for r in sample(p, rng=rng, count=count)]
+
+
+def one_by_one(p, rng, count):
+    """count draws from p, as stage tuples, one PartitionCache.draw call each:
+    the route the chain's center proposals take."""
+    draw = mallows.default_cache().draw
+    return [draw(p.center.stages, p.l, 0.5, p.spread, rng, 1)[0] for _ in range(count)]
+
+
 class TestEnumerateSpace:
     # The brute-force space every oracle here sums over.
     def test_smallest_space(self):
@@ -505,9 +517,20 @@ class TestSample:
 
     def test_tiny_spread_concentrates(self):
         p = params([1, 2, 3], 0.01, 3)
-        draws = sample(p, rng=np.random.default_rng(0), count=100)
-        hits = sum(1 for r in draws if r.stages == (1, 2, 3))
-        assert hits >= 99
+        for route in (batch, one_by_one):
+            draws = route(p, np.random.default_rng(0), 100)
+            assert draws.count((1, 2, 3)) >= 99
+
+    # At spread 1e-3 every way that leaves the center weighs exp(-500) or
+    # less, and some states' totals underflow to 0; the only draw left is
+    # the center, and no 0 / 0 is formed on the way. (2, 2, 2, 2) at l = 4
+    # is the survey's class.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("center", [(1, 1, 2, 2, 3, 3, 4, 4), (1, 2, 4, 4, 3, 1, 2, 3)])
+    @pytest.mark.parametrize("route", [batch, one_by_one], ids=["batch", "one_by_one"])
+    def test_underflowing_spread_gives_the_center(self, center, route):
+        draws = route(params(center, 1e-3, 4), np.random.default_rng(3), 200)
+        assert set(draws) == {center}
 
     def test_flat_limit_frequencies(self):
         p = params([1, 2], 1e6, 2)
@@ -534,27 +557,30 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(params([1], 1.0, 2), count=0)
 
-    @pytest.mark.parametrize(
-        "center,l,spread",
-        [
-            ((2, 2, 2, 2), 3, 0.7),
-            ((1, 2, 3, 4), 4, 1.3),
-            ((1, 2), 40, 1.0),
-            ((1, 2, 2), 9, 0.8),
-            ((1, 1, 3), 9, 1.5),
-            ((2, 2, 4, 5), 5, 0.9),
-            ((4, 2, 4, 3), 5, 1.1),
-        ],
-        ids=["single-bucket", "all-singletons", "n2-l40", "n3-l9", "n3-l9-reversed",
-             "gapped-reversed", "gapped"],
-    )
-    def test_chi_square_against_exact_pmf(self, center, l, spread):
-        draws = sample(params(center, spread, l), rng=np.random.default_rng(11), count=100_000)
-        assert chi_square_pvalue([r.stages for r in draws], naive_pmf(center, l, spread)) > 0.001
+    # Each class is drawn by both routes: 100,000 draws in one batch, and
+    # 6,000 one draw at a time, as the chain draws ("-one-by-one"). A single
+    # draw over l > n stages costs about 0.1 ms, so more would take seconds.
+    @pytest.mark.parametrize("center,l,spread,route,count", [
+        pytest.param(center, l, spread, route, count, id=name + suffix)
+        for name, center, l, spread in [
+            ("single-bucket", (2, 2, 2, 2), 3, 0.7),
+            ("all-singletons", (1, 2, 3, 4), 4, 1.3),
+            ("n2-l40", (1, 2), 40, 1.0),
+            ("n3-l9", (1, 2, 2), 9, 0.8),
+            ("n3-l9-reversed", (1, 1, 3), 9, 1.5),
+            ("gapped-reversed", (2, 2, 4, 5), 5, 0.9),
+            ("gapped", (4, 2, 4, 3), 5, 1.1),
+        ]
+        for suffix, route, count in [("", batch, 100_000), ("-one-by-one", one_by_one, 6_000)]
+    ])
+    def test_chi_square_against_exact_pmf(self, center, l, spread, route, count):
+        draws = route(params(center, spread, l), np.random.default_rng(11), count)
+        assert chi_square_pvalue(draws, naive_pmf(center, l, spread)) > 0.001
 
     def test_single_stage_gives_the_only_point(self):
-        draws = sample(params([1, 1, 1], 0.5, 1), rng=np.random.default_rng(2), count=50)
-        assert {r.stages for r in draws} == {(1, 1, 1)}
+        for route in (batch, one_by_one):
+            draws = route(params([1, 1, 1], 0.5, 1), np.random.default_rng(2), 50)
+            assert set(draws) == {(1, 1, 1)}
 
     @pytest.mark.usefixtures("fresh_partition_cache")
     def test_batched_and_single_draws_follow_one_law(self):
