@@ -15,8 +15,12 @@ of R timed passes over them (time.perf_counter), after one untimed pass:
 - ``center_stats_miss_us``: _Evaluator.center_stats of a center not met
   before (its stats cache emptied at the start of the pass);
 - ``center_stats_hit_us``: the same centers again, all found in the cache;
-- ``evaluate_us``: one move's partition terms, _Evaluator.evaluate of a
-  center's stats at a spread;
+- ``evaluate_us``: one center move's partition terms, _Evaluator.evaluate
+  of a center's stats at the spread of the previous call, gathered from the
+  log psi of every row kept at that spread;
+- ``evaluate_new_spread_us``: one spread move's, _Evaluator.evaluate at a
+  spread other than the last two evaluated, which computes the log psi of
+  every row the evaluator holds;
 - ``draw_us`` and ``draw_rebuild_us``: one PartitionCache.draw of one
   ranking around a center, the call each chain iteration makes, at the
   spread of the last draw (its shares kept) and at a new spread each time
@@ -99,6 +103,8 @@ def time_dataset(data, domain, prior_center, iterations: int, repeats: int) -> d
     hit = per_call_us(ev.center_stats, centers, repeats)
     stats = [ev.center_stats(center) for center in centers]
     evaluate = per_call_us(lambda s: ev.evaluate(s, SPREAD), stats, repeats)
+    new_spread = per_call_us(lambda pair: ev.evaluate(*pair),
+                             list(zip(stats, SPREAD + rng.random(len(stats)))), repeats)
     center = prior_center.stages
     draw = per_call_us(lambda _: cache.draw(center, domain.l, cfg.p, SPREAD, rng, 1),
                        centers, repeats)
@@ -118,7 +124,8 @@ def time_dataset(data, domain, prior_center, iterations: int, repeats: int) -> d
     return {
         "n": ev.n, "l": ev.l, "respondents": len(data), "centers": len(centers),
         "center_stats_miss_us": round(miss, 2), "center_stats_hit_us": round(hit, 2),
-        "evaluate_us": round(evaluate, 2), "draw_us": round(draw, 2),
+        "evaluate_us": round(evaluate, 2), "evaluate_new_spread_us": round(new_spread, 2),
+        "draw_us": round(draw, 2),
         "draw_rebuild_us": round(rebuild, 2), "draw_batch_us": round(batch, 3),
         "iteration_us": round(iteration, 2),
     }

@@ -15,11 +15,14 @@ one vector of weights over that grid and one small matrix product.
 
 A chain iteration's work depends neither on the number of respondents nor
 on how often a spread recurs. The respondents are reduced once to per-pair
-sign tallies and observed-item groups, so a new center's distance to the
-data is one gather over the item pairs. Each move evaluates the partition
-terms of its proposed state, the likelihood's, the prior's and the
-proposal ratio's, in one log_psi_rows call, and the chain carries those of
-its current state.
+sign tallies and observed-item groups, so a new center's distances to the
+data and to the prior center are one gather over the item pairs. The
+partition terms of every row met so far are one log_psi_rows call per
+spread, kept for the last two spreads: the center move runs at a spread the
+previous iteration evaluated, so an iteration makes one such call, for its
+spread proposal. Each move gathers its proposed state's terms, the
+likelihood's, the prior's and the proposal ratio's, from that vector, and
+the chain carries those of its current state.
 """
 
 from __future__ import annotations
@@ -188,14 +191,16 @@ class _Evaluator:
     At construction the respondents are reduced to per-pair sign tallies
     (how many valid respondents order each item pair +1, -1 or 0) and to
     observed-item groups with their sizes; nothing after __init__ reads an
-    array with a respondent axis. A center's statistics are its summed
-    dropped-pair distance to the data, one gather over the tallies; its
-    distance to the prior center; and one array of row indices: each
-    group's restricted class, then the prior center's class, then its own.
-    Every class is one row of a matrix over the distance grid of n items,
-    so all partition terms of a center at a spread are one log_psi_rows
-    call (evaluate). The statistics do not depend on the spread and are
-    kept for the last _CENTER_STATS_MAX centers met.
+    array with a respondent axis. The prior center's own tallies sit beside
+    them. A center's statistics are its summed dropped-pair distance to the
+    data and its distance to the prior center, from one gather over the
+    tallies, and one array of row indices: each group's restricted class,
+    then the prior center's class, then its own. Every class is one row of
+    a matrix over the distance grid of n items, and the log psi of all rows
+    at a spread is one log_psi_rows call, kept for the last two spreads and
+    rebuilt when rows were added since (_log_psi_at); a center's partition
+    terms are a gather from it (evaluate). The statistics do not depend on
+    the spread and are kept for the last _CENTER_STATS_MAX centers met.
     """
 
     _CENTER_STATS_MAX = 4096
@@ -233,11 +238,14 @@ class _Evaluator:
         # _tallies[:, 3k + c + 1]: how many valid respondents a center with
         # sign c on pair k is discordant, and tied in one, with. A center's
         # totals are then one gather at 3k + 1 + its signs, and one sum.
-        self._tallies = np.stack(
-            [pair_counts(signs, c, valid) for c in (-1, 0, 1)], axis=-1
-        ).reshape(2, -1)
+        # Rows 2 and 3 tally the prior center alone, so the same gather also
+        # gives the center's discordant and tied-one pairs with the prior.
+        prior_signs = ranking_pair_signs(np.asarray(prior.center.stages))[:, np.newaxis]
+        self._tallies = np.concatenate([
+            np.stack([pair_counts(x, c, v) for c in (-1, 0, 1)], axis=-1).reshape(2, -1)
+            for x, v in ((signs, valid), (prior_signs, None))
+        ])
         self._pair_base = 3 * np.arange(len(signs)) + 1
-        self._prior_signs = ranking_pair_signs(np.asarray(prior.center.stages))
 
         # Respondents sharing an observed-item set share their restricted
         # partition class, so group them once: one 0/1 row of items each,
@@ -252,6 +260,9 @@ class _Evaluator:
         self._row_count = 0
         self._row_of: dict[tuple[int, ...], int] = {}
         self._center_stats: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
+        # Spread -> log psi of the first len(vector) rows, for the last two
+        # spreads evaluated (_log_psi_at).
+        self._log_psi: OrderedDict[float, np.ndarray] = OrderedDict()
         self._prior_row = self._row(structural_class(prior.center))
         # A fixed prior spread makes the prior's normalizer one constant.
         self._prior_log_psi = None
@@ -288,29 +299,45 @@ class _Evaluator:
             self._center_stats.move_to_end(center)
             return stats
         signs = ranking_pair_signs(np.asarray(center, dtype=np.int32))
-        discordant, tied_one = self._tallies[:, self._pair_base + signs].sum(axis=1)
+        discordant, tied_one, prior_discordant, prior_tied = (
+            self._tallies[:, self._pair_base + signs].sum(axis=1))
         total_d = float(discordant + self.cfg.p * tied_one)
+        prior_d = int(prior_discordant) + self.cfg.p * int(prior_tied)
 
         # How many of each group's observed items sit in each of the center's
         # buckets: the bucket sizes of its restriction, in order or reversed.
         class_key, _, bucket = center_buckets(center)
         sizes = self._group_items @ (bucket[:, np.newaxis] == np.arange(len(class_key)))
-        rows = [self._row(group) for group in map(tuple, sizes.tolist())]
-        rows = np.array([*rows, self._prior_row, self._row(class_key)])
-
-        discordant, tied_one = pair_counts(signs, self._prior_signs)
-        prior_d = int(discordant) + self.cfg.p * int(tied_one)
-        stats = (total_d, rows, prior_d)
+        groups = [*map(tuple, sizes.tolist()), class_key]
+        rows = list(map(self._row_of.get, groups))
+        if None in rows:
+            rows = list(map(self._row, groups))
+        rows.insert(-1, self._prior_row)
+        stats = (total_d, np.array(rows), prior_d)
         self._center_stats[center] = stats
         if len(self._center_stats) > self._CENTER_STATS_MAX:
             self._center_stats.popitem(last=False)
         return stats
 
+    def _log_psi_at(self, spread: float) -> np.ndarray:
+        """log psi of every row at this spread, kept for the last two spreads
+        and recomputed, in one log_psi_rows call, when rows were added after
+        it was built."""
+        log_psi = self._log_psi.get(spread)
+        if log_psi is None or len(log_psi) < self._row_count:
+            log_psi = log_psi_rows(self._rows[:self._row_count], self.grid, spread)
+            self._log_psi[spread] = log_psi
+            if len(self._log_psi) > 2:
+                self._log_psi.popitem(last=False)
+        self._log_psi.move_to_end(spread)
+        return log_psi
+
     def evaluate(self, stats: tuple, spread: float) -> tuple[float, float, float]:
         """(log likelihood, log prior, log psi of the center's own class) at
-        this spread, all from one log_psi_rows call over the center's rows."""
+        this spread, gathered from the log psi of every row at the spread
+        (_log_psi_at)."""
         total_d, rows, prior_d = stats
-        log_psi = log_psi_rows(self._rows[rows], self.grid, spread)
+        log_psi = self._log_psi_at(spread)[rows]
         ll = float(-total_d / spread - self._group_counts @ log_psi[:-2])
         prior_log_psi = self._prior_log_psi
         if prior_log_psi is None:
@@ -409,8 +436,12 @@ def mcmc_fit(
 
     Each move evaluates its proposed state once (_Evaluator.evaluate), and
     the chain carries the current state's log posterior and the log psi of
-    its center's class at its spread, which the center move's ratio needs:
-    an iteration makes two log_psi_rows calls, one with the spread pinned.
+    its center's class at its spread, which the center move's ratio needs.
+    The center move runs at the spread the previous spread move evaluated
+    (accepted) or the one before it did (rejected), both kept, so an
+    iteration makes one log_psi_rows call, for its spread proposal, and one
+    more when its proposed center adds a row (only the latter with the
+    spread pinned).
     """
     ev = _Evaluator(data, domain, prior, cfg)
     check_capacity(ev.n, ev.l, draws=mcmc.retained)

@@ -319,8 +319,11 @@ def log_psi_rows(rows: np.ndarray, grid: np.ndarray, spread: float) -> np.ndarra
     sums to l^n < 2^63 (check_capacity), so psi lies in [1, l^n]. Below a
     spread of 1e-300 every positive distance (at least p >= 1/2) has weight
     0 already; taking such spreads as 1e-300 keeps grid / spread finite.
+    Each row is its own dot product (np.vecdot), so its value does not depend
+    on the other rows passed with it; a BLAS matrix-vector product sums a row
+    in an order that depends on its position in the matrix.
     """
-    return np.log(rows @ np.exp(grid / -max(spread, 1e-300)))
+    return np.log(np.vecdot(rows, np.exp(grid / -max(spread, 1e-300))))
 
 
 def _uniform_subsets(sizes: np.ndarray, l: int, rng: np.random.Generator) -> np.ndarray:
@@ -337,6 +340,17 @@ def _uniform_subsets(sizes: np.ndarray, l: int, rng: np.random.Generator) -> np.
     return chosen
 
 
+def _uniform_subset(size: int, l: int, rng: np.random.Generator) -> list[int]:
+    """_uniform_subsets for one row, in plain Python, from the same uniforms:
+    a scalar rng.integers(0, t + 1) gives what size=1 gives."""
+    chosen: list[int] = []
+    for t in range(l - size, l):
+        pick = int(rng.integers(0, t + 1))
+        chosen.append(t if pick in chosen else pick)
+    chosen.sort()
+    return chosen
+
+
 class PartitionCache:
     """Memoized grid rows and draw weights.
 
@@ -348,11 +362,11 @@ class PartitionCache:
     program's steps are shared by all classes (see _stage_step).
     The histogram of (discordant, tied-in-one) pair counts is the same program
     over the key (P+1) d + e. The exact sampler runs the program backward
-    and samples forward through it; its edge distances, and the shares of
-    the last spread drawn at, are cached per (l, p, class). Safe for
-    concurrent use; racing writers recompute identical values. The process
-    keeps one instance (default_cache), like the steps; a new instance
-    builds its rows and tables afresh.
+    and samples forward through it; its edges' distinct distances and
+    multiplicities, and the shares of the last spread drawn at, are cached
+    per (l, p, class). Safe for concurrent use; racing writers recompute
+    identical values. The process keeps one instance (default_cache), like
+    the steps; a new instance builds its rows and tables afresh.
     """
 
     def __init__(self):
@@ -372,14 +386,22 @@ class PartitionCache:
         to finish from state s, their weights exp(-distance / spread) times
         their multiplicities. Composition c from state s takes the share
         edge weight * ahead[dest[s, c]] of ahead[s]: one gather, one product
-        and one sum per bucket. The shares are laid out as (composition,
-        state), so that numpy sums each state's shares in composition order,
-        as the draw's running sums do. A state whose total underflows to 0
-        is never entered, since the share leading into it is 0. The shares
-        of the last spread are kept per (l, p, class) with the edge
-        distances, in one entry replaced whole under the lock, so that a
-        reader never pairs one spread with another's shares: the chain
-        draws again at the same spread and class after each rejected move.
+        and one sum per bucket, with no gather for the last bucket when
+        l <= n (every final state weighs 1) and no sum for the first (its
+        one state's total is never read). The shares are laid out as
+        (composition, state), so that numpy sums each state's shares in
+        composition order, as the draw's running sums do. A state whose
+        total underflows to 0 is never entered, since the share leading
+        into it is 0.
+
+        The class's edges take few distinct distances (30 for the 1,224
+        edges of the class (1, 2, 4, 1) at l = 4, p = 1/2), so each edge keeps
+        its index into them and its multiplicity, and a new spread takes one
+        exp per distinct distance. The shares of the last spread are kept per
+        (l, p, class) with those terms, in one entry replaced whole under the
+        lock, so that a reader never pairs one spread with another's shares:
+        the chain draws again at the same spread and class after each
+        rejected move.
         """
         key = (l, p, class_key)
         with self._lock:
@@ -387,25 +409,32 @@ class PartitionCache:
         if entry is None:
             check_capacity(n, l)
             steps, final_states = _stage_steps(class_key, min(l, n))
-            finish = np.ones(len(final_states))
+            finish = None
             if l > n:
                 ratio = np.array([math.comb(l, j) / math.comb(n, j) for j in range(n + 1)])
                 finish = ratio[np.count_nonzero(final_states, axis=1)]
             dist = np.concatenate([(step.discordant + p * step.tied).T.ravel() for step in steps])
-            log_mult = np.concatenate([np.repeat(np.log(step.mult), step.dest.shape[0])
-                                       for step in steps])
+            # Deduplicated by hand, as in distance_grid.
+            values = np.sort(dist)
+            distinct = values[np.append(True, values[1:] != values[:-1])]
+            mult = np.concatenate([np.repeat(step.mult.astype(np.float64), step.dest.shape[0])
+                                   for step in steps])
             into = [np.ascontiguousarray(step.dest.T) for step in steps]
-            entry = (steps, final_states, (dist, log_mult, finish, into), None, None)
+            terms = (distinct, distinct.searchsorted(dist), mult, finish, into)
+            entry = (steps, final_states, terms, None, None)
         steps, final_states, terms, last_spread, shares = entry
         if last_spread != spread:
-            dist, log_mult, finish, into = terms
-            edge_w = np.exp(log_mult - dist / spread)
+            distinct, index, mult, finish, into = terms
+            edge_w = mult * np.exp(distinct / -spread)[index]
             shares, ahead, end = [], finish, len(edge_w)
             for dest in reversed(into):
                 start = end - dest.size
-                share = edge_w[start:end].reshape(dest.shape) * ahead[dest]
-                ahead = share.sum(axis=0)
+                share = edge_w[start:end].reshape(dest.shape)
+                if ahead is not None:
+                    share = share * ahead[dest]
                 shares.append(share)
+                if start:
+                    ahead = share.sum(axis=0)
                 end = start
             shares.reverse()
             with self._lock:
@@ -425,7 +454,9 @@ class PartitionCache:
         uniform u per bucket and draw, that is the first composition whose
         running share reaches (1 - u) of the state's total. One draw, the
         call each chain iteration makes, walks its own path and places its
-        items in plain Python, reading one row of shares per bucket.
+        items in plain Python, reading one row of shares per bucket, with
+        its uniforms from one call and, for l > n, its stage subset from
+        _uniform_subset.
         Several draws (simulate, sample) build each bucket's cumulative
         table once per call, every state's row scaled to (s - 1, s], and
         search it for all draws at once. The compositions fix how many of each
@@ -440,8 +471,10 @@ class PartitionCache:
         class_key, flip, bucket = center_buckets(center)
         steps, final_states, shares = self._draw_tables(n, l, p, class_key, spread)
         if count == 1:
+            # The uniforms of the buckets, then of the placement: one call.
+            uniforms = rng.random(len(steps) + n).tolist()
             state, stages = 0, []
-            for step, share, u in zip(steps, shares, rng.random(len(steps)).tolist()):
+            for step, share, u in zip(steps, shares, uniforms):
                 run = list(itertools.accumulate(share[:, state].tolist()))
                 # 0 < target <= run[-1]: c stops at a composition with share.
                 target, c = (1.0 - u) * run[-1], 0
@@ -450,14 +483,14 @@ class PartitionCache:
                 stages += step.stages[c].tolist()
                 state = step.dest[state, c]
             # The placement and the mapping below, in plain Python for one draw.
-            keys = [b + u for b, u in zip(bucket.tolist(), rng.random(n).tolist())]
+            keys = [b + u for b, u in zip(bucket.tolist(), uniforms[len(steps):])]
             x = [0] * n
             for item, stage in zip(sorted(range(n), key=keys.__getitem__), stages):
                 x[item] = stage
             if l > n:
-                occupied = final_states[state] > 0
-                subset = _uniform_subsets(occupied.sum(keepdims=True), l, rng)[0]
-                onto = subset[np.cumsum(occupied) - 1].tolist()
+                occupied = (final_states[state] > 0).tolist()
+                subset = _uniform_subset(sum(occupied), l, rng)
+                onto = [subset[j - 1] for j in itertools.accumulate(occupied)]
                 x = [onto[s] for s in x]
             return [tuple(l - s for s in x) if flip else tuple(s + 1 for s in x)]
 

@@ -1,6 +1,6 @@
-"""Smoke tests of the benchmark harness in perfbench/ and of the layer
+"""Smoke tests of the benchmark harness in perfbench/, of the layer
 harnesses scripts/time_rows.py, scripts/time_chain.py and scripts/time_io.py,
-run as a user runs them.
+and of scripts/output_digests.py, run as a user runs them.
 
 The traced run wraps PartitionCache.log_psi and PartitionCache.histogram by
 name and checks that the layers' self times add up to the traced wall
@@ -60,4 +60,20 @@ def test_chain_harness_times_every_layer():
     datasets = _run_script("time_chain.py")["datasets"]
     assert sorted(datasets) == ["large", "survey", "wide"]
     for figures in datasets.values():
+        assert "evaluate_new_spread_us" in figures, figures
         assert all(figures[key] > 0 for key in figures if key.endswith("_us")), figures
+
+
+def test_output_digests_list_every_file_of_the_workload():
+    result = subprocess.run(
+        [sys.executable, "scripts/output_digests.py", "--workload", "large"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    digests = json.loads(result.stdout)
+    fits = [f"fit{seed}/{name}" for seed in (1000, 1001, 1002, 1003)
+            for name in ("heatmap.svg", "manifest.json", "report.json", "trace.ndjson")]
+    data = [f"data/{name}" for name in ("dataset.csv", "dataset.meta.json", "manifest.json",
+                                        "truth.json")]
+    assert sorted(digests) == sorted([*data, "truth_center.json", *fits])
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest in digests.values())

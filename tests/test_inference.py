@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,14 @@ from stagemallows.inference import (
     mcmc_fit,
     stage_marginals,
 )
-from stagemallows.mallows import MallowsParams, PartitionCache, partition_function, sample
+from stagemallows.io import demo_dataset_path, read_dataset, read_ranking_file
+from stagemallows.mallows import (
+    MallowsParams,
+    PartitionCache,
+    log_psi_rows,
+    partition_function,
+    sample,
+)
 from stagemallows.rankings import (
     CentralRanking,
     DistanceConfig,
@@ -186,6 +194,24 @@ def _synthetic(n, l, spread, m, seed, missing=0.0):
 
 
 class TestMcmcFit:
+    def test_survey_chain_path_is_pinned(self):
+        # One survey chain's stages and spreads, to the last bit. A speed-up
+        # of the chain must leave its path where it is: the effective sample
+        # size of one chain varies widely with its path, so a moved path
+        # changes results, not only speed.
+        ds = read_dataset(demo_dataset_path())
+        stages, _ = read_ranking_file(
+            demo_dataset_path().with_name("wellbeing_survey_prior.json"))
+        prior = PriorConfig(center=central(*stages))
+        trace = mcmc_fit(ds.rankings(), ds.stage_domain, prior,
+                         McmcConfig(iterations=300, burn_in=100, seed=1000)).trace
+        assert trace.centers.dtype == np.int32 and trace.centers.shape == (200, 8)
+        spreads = " ".join(float(s).hex() for s in trace.spreads)
+        assert hashlib.sha256(trace.centers.tobytes()).hexdigest() == (
+            "3a3592c3859a3c1f28b764f3af1f611ba10a1eaad29402717907d4e9a6de94b3")
+        assert hashlib.sha256(spreads.encode()).hexdigest() == (
+            "c4d96f6f4bc9dfde3c7aaf5b86ddd1ee14f7b7a71c942f6770c7759bf7ccf774")
+
     def test_determinism(self):
         data, truth = _synthetic(4, 3, 1.0, 20, seed=5)
         prior = PriorConfig(center=truth.center)
@@ -374,15 +400,14 @@ class TestEvaluator:
                 assert total_d == sum(kendall_tau_partial(resp, central(*center), cfg)
                                       for resp in data)
 
-    @pytest.mark.parametrize("scale, pi_spread, calls", [
-        (0.1, None, 2 * 60 + 1),
-        (0.0, None, 60 + 1),
-        (0.1, 0.8, 2 * 60 + 2),
-    ])
-    def test_one_partition_evaluation_per_move(self, monkeypatch, scale, pi_spread, calls):
-        # Every move evaluates its state's partition terms in one call, and
-        # a fixed prior spread adds one call per fit for the prior's constant.
+    @pytest.mark.parametrize("scale, pi_spread", [(0.1, None), (0.0, None), (0.1, 0.8)])
+    def test_one_partition_evaluation_per_move(self, monkeypatch, scale, pi_spread):
+        # The log psi of every row is computed once per spread: one call at
+        # the start, one per spread proposal, and one per move whose center
+        # added a row (the vector at its spread is then stale). A fixed prior
+        # spread adds one call per fit for the prior's constant.
         made = {"rows": 0, "cache": 0}
+        added = []  # per center_stats call, whether it added a row
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -390,15 +415,63 @@ class TestEvaluator:
                 return func(*args, **kwargs)
             return wrapper
 
+        center_stats, row = inference._Evaluator.center_stats, inference._Evaluator._row
+
+        def stats_of_move(self, center):
+            added.append(False)
+            return center_stats(self, center)
+
+        def registered(self, sizes):
+            before = self._row_count
+            index = row(self, sizes)
+            if added and self._row_count > before:
+                added[-1] = True
+            return index
+
         rows = counted("rows", mallows.log_psi_rows)
         monkeypatch.setattr(mallows, "log_psi_rows", rows)
         monkeypatch.setattr(inference, "log_psi_rows", rows)
         monkeypatch.setattr(PartitionCache, "log_psi", counted("cache", PartitionCache.log_psi))
+        monkeypatch.setattr(inference._Evaluator, "center_stats", stats_of_move)
+        monkeypatch.setattr(inference._Evaluator, "_row", registered)
         data, truth = _synthetic(4, 3, 1.0, 15, seed=9, missing=20.0)
         prior = PriorConfig(center=truth.center, pi_spread=pi_spread)
+        iterations = 60
         mcmc_fit(data, truth.domain, prior,
-                 McmcConfig(iterations=60, burn_in=20, seed=4, lambda_proposal_scale=scale))
+                 McmcConfig(iterations=iterations, burn_in=20, seed=4,
+                            lambda_proposal_scale=scale))
+        assert len(added) == 1 + iterations
+        adding_moves = sum(added[1:])
+        assert adding_moves > 0
+        calls = (1 + (iterations if scale > 0 else 0) + adding_moves
+                 + (pi_spread is not None))
         assert made == {"rows": calls, "cache": 0}
+
+    def test_evaluate_matches_direct_rows(self):
+        # Every move's terms gathered from the log psi of all rows at a spread
+        # equal, exactly, the same formula over log psi of the center's own
+        # rows. Centers are met one by one, so many add rows after the
+        # vectors at the earlier spreads were built.
+        data, truth = _synthetic(6, 3, 1.0, 40, seed=21, missing=30.0)
+        ev = inference._Evaluator(data, truth.domain, PriorConfig(center=truth.center),
+                                  DistanceConfig())
+        rng = np.random.default_rng(5)
+        centers = list(dict.fromkeys(tuple(rng.integers(1, 4, size=6).tolist())
+                                     for _ in range(200)))[:50]
+        spreads = [0.3, 1.0, 0.3, 2.5, 1.0, 0.05, 7.0]
+        added_late = 0
+        for center in centers:
+            before = ev._row_count
+            stats = ev.center_stats(center)
+            added_late += ev._row_count > before and len(ev._log_psi) > 0
+            total_d, rows, prior_d = stats
+            for spread in spreads:
+                log_psi = log_psi_rows(ev._rows[rows], ev.grid, spread)
+                want = (float(-total_d / spread - ev._group_counts @ log_psi[:-2]),
+                        ev.prior.log_density(prior_d, spread, float(log_psi[-2])),
+                        float(log_psi[-1]))
+                assert ev.evaluate(stats, spread) == want
+        assert added_late > 5
 
     def test_center_stats_cache_is_bounded(self, monkeypatch):
         data, truth = _synthetic(5, 3, 2.0, 20, seed=3, missing=20.0)

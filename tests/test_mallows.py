@@ -515,6 +515,18 @@ class TestSample:
         b = sample(p, rng=np.random.default_rng(42), count=50)
         assert [r.stages for r in a] == [r.stages for r in b]
 
+    def test_one_row_subset_matches_the_array_route(self):
+        # The one-ranking draw picks its occupied stages' subset in plain
+        # Python; it must give the same subset as _uniform_subsets on one row
+        # and leave the generator where that leaves it.
+        for l in range(1, 10):
+            for k in range(1, l + 1):
+                for seed in range(50):
+                    one, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = mallows._uniform_subset(k, l, one)
+                    assert got == mallows._uniform_subsets(np.array([k]), l, rows)[0].tolist()
+                    assert one.random() == rows.random()
+
     def test_tiny_spread_concentrates(self):
         p = params([1, 2, 3], 0.01, 3)
         for route in (batch, one_by_one):
