@@ -27,13 +27,10 @@ of R timed passes over them (time.perf_counter), after one untimed pass:
   (its shares rebuilt);
 - ``draw_batch_us``: one PartitionCache.draw of as many rankings as the
   dataset has respondents, as ``simulate`` draws them, at the spread of
-  the last draw (its shares kept), per ranking drawn;
-- ``iteration_us``: one chain iteration, the difference between the
-  fastest of R + 1 mcmc_fit runs of 2K iterations and of K iterations,
-  divided by K, so that the fit's setup cancels (K is 500 on the survey,
-  1,000 on ``wide`` and 300 on ``large``).
+  the last draw (its shares kept), per ranking drawn.
 
-Prints one JSON object.
+Whole chain iterations are timed end to end by the benchmark
+(perfbench/run.py, ``iters_per_s``), not here. Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from importlib import metadata
 import numpy as np
 
 from stagemallows import inference, mallows
-from stagemallows.inference import McmcConfig, PriorConfig, mcmc_fit
+from stagemallows.inference import PriorConfig
 from stagemallows.io import demo_dataset_path, read_dataset, read_ranking_file
 from stagemallows.mallows import MallowsParams
 from stagemallows.rankings import CentralRanking, DistanceConfig, StageDomain
@@ -58,20 +55,20 @@ from stagemallows.synth import SynthConfig, generate
 CENTERS = 200
 SPREAD = 1.0
 SYNTHETIC = {
-    "wide": ((1, 1, 2, 2, 3, 3), 3, 3000, 1000),
-    "large": ((1, 1, 2, 2, 2, 3, 3, 3, 4, 4), 4, 100, 300),
+    "wide": ((1, 1, 2, 2, 3, 3), 3, 3000),
+    "large": ((1, 1, 2, 2, 2, 3, 3, 3, 4, 4), 4, 100),
 }
 
 
 def datasets():
-    """(name, respondents, domain, prior, chain iterations K) of each dataset."""
+    """(name, respondents, domain, prior center) of each dataset."""
     ds = read_dataset(demo_dataset_path())
     stages, _ = read_ranking_file(demo_dataset_path().with_name("wellbeing_survey_prior.json"))
-    yield "survey", ds.rankings(), ds.stage_domain, CentralRanking(tuple(stages)), 500
-    for name, (center, l, size, iterations) in SYNTHETIC.items():
+    yield "survey", ds.rankings(), ds.stage_domain, CentralRanking(tuple(stages))
+    for name, (center, l, size) in SYNTHETIC.items():
         truth = MallowsParams(CentralRanking(center), SPREAD, StageDomain(l))
         data, _ = generate(SynthConfig(truth=truth, size=size, missing_percent=10, seed=1))
-        yield name, data, truth.domain, truth.center, iterations
+        yield name, data, truth.domain, truth.center
 
 
 def per_call_us(call, items, repeats: int, before=lambda: None) -> float:
@@ -87,7 +84,7 @@ def per_call_us(call, items, repeats: int, before=lambda: None) -> float:
     return statistics.median(passes[1:])
 
 
-def time_dataset(data, domain, prior_center, iterations: int, repeats: int) -> dict:
+def time_dataset(data, domain, prior_center, repeats: int) -> dict:
     cfg = DistanceConfig()
     prior = PriorConfig(center=prior_center)
     ev = inference._Evaluator(data, domain, prior, cfg)
@@ -113,21 +110,12 @@ def time_dataset(data, domain, prior_center, iterations: int, repeats: int) -> d
                           spreads, repeats)
     batch = per_call_us(lambda _: cache.draw(center, domain.l, cfg.p, SPREAD, rng, len(data)),
                         [None], repeats) / len(data)
-
-    def fit_s(length: int) -> float:
-        start = time.perf_counter()
-        mcmc_fit(data, domain, prior, McmcConfig(iterations=length, burn_in=0, seed=1), cfg)
-        return time.perf_counter() - start
-
-    runs = [(fit_s(2 * iterations), fit_s(iterations)) for _ in range(repeats + 1)]
-    iteration = (min(a for a, _ in runs) - min(b for _, b in runs)) / iterations * 1e6
     return {
         "n": ev.n, "l": ev.l, "respondents": len(data), "centers": len(centers),
         "center_stats_miss_us": round(miss, 2), "center_stats_hit_us": round(hit, 2),
         "evaluate_us": round(evaluate, 2), "evaluate_new_spread_us": round(new_spread, 2),
         "draw_us": round(draw, 2),
         "draw_rebuild_us": round(rebuild, 2), "draw_batch_us": round(batch, 3),
-        "iteration_us": round(iteration, 2),
     }
 
 
@@ -136,8 +124,8 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     results = {
-        name: time_dataset(data, domain, prior_center, iterations, args.repeats)
-        for name, data, domain, prior_center, iterations in datasets()
+        name: time_dataset(data, domain, prior_center, args.repeats)
+        for name, data, domain, prior_center in datasets()
     }
     print(json.dumps({
         "python": platform.python_version(), "numpy": metadata.version("numpy"),

@@ -5,11 +5,12 @@ Usage, from the repository root:
     PYTHONPATH=src python3 scripts/time_rows.py [--repeats R]
 
 For every structural class of n <= 10 items over l = 4 stages and of n <= 6
-items over l = 3, at p = 0.5 and p = 0.731, builds the class's row over
-distance_grid(n, p), in turn and with one PartitionCache, as a fit meets
-them: the cached stage-count steps, state lists and compositions are
-cleared once at the start of a pass, so a class reuses the steps that
-earlier classes built. Each build is timed in two parts with
+items over l = 3, at p = 0.5 and p = 0.731, and of exactly 16 items over
+l = 4 at p = 0.5, builds the class's row over distance_grid(n, p), in turn
+and with one PartitionCache, as a fit meets them: the cached stage-count
+steps, their key terms, state lists and compositions are cleared once at
+the start of a pass, so a class reuses the steps that earlier classes
+built. Each build is timed in two parts with
 time.perf_counter: ``steps_s`` builds the class's program
 (mallows._stage_steps, which builds only the steps not met before), and
 ``row_s`` is PartitionCache.row on top of it. A space's figure is the sum
@@ -30,15 +31,16 @@ from importlib import metadata
 
 from stagemallows import mallows
 
-SPACES = ((10, 4), (6, 3))
-PENALTIES = (0.5, 0.731)
+#: (fewest items, most items, stages, p) of each space timed.
+SPACES = ((1, 10, 4, 0.5), (1, 10, 4, 0.731), (1, 6, 3, 0.5), (1, 6, 3, 0.731),
+          (16, 16, 4, 0.5))
 
 
-def classes(n_max: int, l: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(n, class key) for every structural class of n <= n_max items in at
-    most l buckets."""
+def classes(n_min: int, n_max: int, l: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(n, class key) for every structural class of n_min <= n <= n_max
+    items in at most l buckets."""
     found = set()
-    for n in range(1, n_max + 1):
+    for n in range(n_min, n_max + 1):
         for buckets in range(1, min(l, n) + 1):
             for cuts in itertools.combinations(range(1, n), buckets - 1):
                 edges = (0, *cuts, n)
@@ -49,7 +51,8 @@ def classes(n_max: int, l: int) -> list[tuple[int, tuple[int, ...]]]:
 
 def one_pass(space: list[tuple[int, tuple[int, ...]]], l: int, p: float) -> tuple[float, float]:
     """Seconds spent building the programs and the rows of every class."""
-    for cached in (mallows._stage_step, mallows._placed_states, mallows._compositions):
+    for cached in (mallows._stage_step, mallows._step_keys, mallows._step_weights,
+                   mallows._placed_states, mallows._compositions):
         cached.cache_clear()
     cache = mallows.PartitionCache()
     steps_s = row_s = 0.0
@@ -69,18 +72,17 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     results = []
-    for n_max, l in SPACES:
-        space = classes(n_max, l)
-        for p in PENALTIES:
-            one_pass(space, l, p)
-            passes = [one_pass(space, l, p) for _ in range(args.repeats)]
-            results.append({
-                "n_max": n_max, "l": l, "p": p, "classes": len(space),
-                "class_steps": sum(len(class_key) for _, class_key in space),
-                "distinct_steps": mallows._stage_step.cache_info().currsize,
-                "steps_s": round(statistics.median(a for a, _ in passes), 4),
-                "row_s": round(statistics.median(b for _, b in passes), 4),
-            })
+    for n_min, n_max, l, p in SPACES:
+        space = classes(n_min, n_max, l)
+        one_pass(space, l, p)
+        passes = [one_pass(space, l, p) for _ in range(args.repeats)]
+        results.append({
+            "n_min": n_min, "n_max": n_max, "l": l, "p": p, "classes": len(space),
+            "class_steps": sum(len(class_key) for _, class_key in space),
+            "distinct_steps": mallows._stage_step.cache_info().currsize,
+            "steps_s": round(statistics.median(a for a, _ in passes), 4),
+            "row_s": round(statistics.median(b for _, b in passes), 4),
+        })
     print(json.dumps({
         "python": platform.python_version(), "numpy": metadata.version("numpy"),
         "repeats": args.repeats, "spaces": results,

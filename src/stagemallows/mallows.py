@@ -14,14 +14,19 @@ after m items over k stages is one cached step, whatever the class, so the
 counts the points per integer key of their d discordant and e tied-in-one
 pairs: b d + a e when p = a / b with b <= C(n, 2) + 1 (the lattice, where
 equal keys are equal distances; 2d + e at p = 1/2), else
-(C(n, 2) + 1) d + e, the pair itself. Those counts,
-summed onto the distance grid of n items, make every partition term one
-row over that grid, and log psi at a spread is
-log(row @ exp(-grid / spread)) (log_psi_rows). The sampler runs
-the program backward at the requested spread, keeping each composition's
+(C(n, 2) + 1) d + e, the pair itself. Each step's key terms are kept
+with the step, per key, and a step scatters its table's nonzero cells
+with np.bincount; when l <= n the last bucket lands straight on the key
+axis, on the lattice by one matrix product where its sizes allow, exact
+in float64 since every partial sum is an integer below 2^53. Those
+counts, summed onto the distance grid of n items, make every partition
+term one row over that grid, and log psi at a spread is
+log(row @ exp(-grid / spread)) (log_psi_rows). The sampler runs the
+program backward at the requested spread, keeping each composition's
 share of the weight ahead, and samples forward through it: one draw, as
-the chain proposes, walks its own path through the shares, and a batch
-searches one cumulative table per bucket. Neither touches the l^n points.
+the chain proposes, walks its own path through the running shares of the
+states it visits, kept with the spread's shares, and a batch searches one
+cumulative table per bucket. Neither touches the l^n points.
 Both sit behind one capacity rule (check_capacity), which bounds the
 program's own tables and keeps its integer counts exact. The rows and the
 shares of the last spread drawn at are kept per process, like the steps,
@@ -30,6 +35,7 @@ in one PartitionCache (default_cache).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import threading
@@ -92,9 +98,11 @@ def check_capacity(n: int, l: int, draws: int = 0) -> int:
     The budget also keeps the program's float64 counts exact: each is at
     most k^n, and no accepted space has k^n past 2^48 (l = 2, n = 48),
     below the 2^53 where float64 stops holding every integer.
-    The program's steps, shared by every class and kept for the process
-    (_stage_step), are far smaller: all of them at n = 16, l = 4 hold about
-    17.8 MB, against an estimate of 454 MB.
+    The program's steps, their key shifts and last-bucket matrices, shared
+    by every class and kept for the process (_stage_step, _step_keys,
+    _step_weights), are far smaller: all of them that a fit can meet take
+    under a fifth of the estimate in every space measured (BENCH_17.json),
+    at most 31 MiB at n = 16, l = 4, p = 1/2 against 433 MiB.
     Each of `draws` rankings adds 512 + 128 n bytes for its arrays, Python
     rankings and dataset text; a `simulate` of 20,000 respondents peaked
     (tracemalloc) at 0.48 KB each at n = 8, 1.55 KB at n = 40. A chain's
@@ -221,50 +229,106 @@ def _stage_steps(class_key: tuple[int, ...], k: int) -> tuple[tuple[_Step, ...],
     return tuple(steps), _placed_states(placed, k)
 
 
+@lru_cache(maxsize=None)
+def _step_keys(m: int, b: int, k: int, alpha: int, beta: int) -> tuple[np.ndarray, int]:
+    """The key terms of _stage_step(m, b, k) for the key alpha d + beta e:
+    shift[s, c] = alpha discordant[s, c] + beta tied[s, c], the key that
+    composition c adds from state s, and its largest value. Kept per
+    (m, b, k, alpha, beta), like the steps, so that a row does not compute
+    them again for each bucket."""
+    step = _stage_step(m, b, k)
+    shift = alpha * step.discordant + beta * step.tied
+    shift.setflags(write=False)
+    return shift, int(shift.max())
+
+
+@lru_cache(maxsize=None)
+def _step_weights(m: int, b: int, k: int, alpha: int, beta: int) -> np.ndarray:
+    """W[s, delta]: the summed multiplicities of the compositions of
+    _stage_step(m, b, k) that shift state s by delta under the key
+    alpha d + beta e, the matrix by which a last bucket lands on the key
+    axis (see _stage_count_table). Kept like the key shifts, and built only
+    for the steps that end a class."""
+    mult = _stage_step(m, b, k).mult
+    shift, top = _step_keys(m, b, k, alpha, beta)
+    states, span = len(shift), top + 1
+    weights = np.bincount((np.arange(0, states * span, span)[:, np.newaxis] + shift).ravel(),
+                          np.broadcast_to(mult, shift.shape).ravel(), states * span)
+    weights = weights.reshape(states, span)
+    weights.setflags(write=False)
+    return weights
+
+
 def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int) -> np.ndarray:
     """Multiplicities over {1..l}^n for a center of class_key, by the integer
     key alpha*d + beta*e of d discordant and e tied-in-one pairs.
 
     Runs the stage-count program (see _stage_steps), with table[u, key]
     counting the ways to reach state u with that key among the items
-    placed: one row of keys per state, not a (d, e) plane. Most cells are
-    zero, so each step moves only the nonzero ones, in blocks of as many
-    compositions as keep the index and weight temporaries within the size
-    of the grown table: one weighted np.bincount per block sums the edges
-    that meet. A step that needs more than one block adds each composition
-    in place instead, which is exact because one composition moves distinct
-    cells to distinct cells. The final table is summed over its states, so
-    when l <= n the last bucket lands straight on the key axis, by blocks.
+    placed: one row of keys per state, not a (d, e) plane. A step's key
+    shifts, and W below, are kept with it (_step_keys, _step_weights). Most
+    cells are zero, so each step moves only the nonzero ones, in blocks of
+    as many compositions as keep the index and weight temporaries within
+    the size of the grown table: one weighted np.bincount per block sums
+    the edges that meet. A step that needs more than one block adds each
+    composition in place instead, which is exact because one composition
+    moves distinct cells to distinct cells.
+
+    The final table is summed over its states, so when l <= n the last
+    bucket lands straight on the key axis. On the lattice key it does so
+    with one matrix product: W[s, delta] sums the multiplicities of the
+    compositions that shift state s by delta, Y = W.T @ table, and row delta
+    of Y is added in at offset delta, a skewed sum read off one padded
+    array. It is taken when W and the padded Y together fit within the grown
+    table's size, the scatter's own allowance. The pair key (P+1) d + e
+    keeps the scatter: its shifts lie P+1 apart per discordant pair, so most
+    of W's columns would be zero.
 
     The counts are float64, and exact: each is at most k^n, with k = min(l, n)
     stages in the program, and check_capacity accepts no space where k^n
-    reaches 2^53. The result is int64. At most n stages are occupied, so for
-    l > n the program runs over n stages: a final state with j occupied
-    stages stands for C(n, j) ways to choose them there and C(l, j) over l
-    stages, a scaling done in int64, exact below l^n < 2^63.
+    reaches 2^53. Every product and partial sum, in the scatter and in the
+    matrix product alike, is a nonnegative integer no larger than the count
+    it adds to, so the result does not depend on the order of summation
+    (nor on the BLAS). The result is int64. At most n stages are occupied,
+    so for l > n the program runs over n stages: a final state with j
+    occupied stages stands for C(n, j) ways to choose them there and C(l, j)
+    over l stages, a scaling done in int64, exact below l^n < 2^63.
     """
     n = sum(class_key)
-    steps, final_states = _stage_steps(class_key, min(l, n))
-    table = np.ones((1, 1))
-    for i, step in enumerate(steps, start=1):
-        state, key = np.nonzero(table)
-        count = table[state, key]
-        shift = alpha * step.discordant + beta * step.tied
-        width = table.shape[1] + int(shift.max())
-        block = max(1, step.states * width // (2 * len(count)))
-        last = i == len(steps) and l <= n
-        base, size = (shift, width) if last else (step.dest * width + shift, step.states * width)
-        if last or block >= len(step.mult):
-            parts = (np.bincount((base[state, c:c + block] + key[:, np.newaxis]).ravel(),
-                                 (count[:, np.newaxis] * step.mult[c:c + block]).ravel(), size)
-                     for c in range(0, len(step.mult), block))
-            table = next(parts)
-            for part in parts:
-                table += part
+    k = min(l, n)
+    steps, final_states = _stage_steps(class_key, k)
+    pair_key = (alpha, beta) == (n * (n - 1) // 2 + 1, 1)
+    table, placed = np.ones((1, 1)), 0
+    for b, step in zip(class_key, steps):
+        m, placed = placed, placed + b
+        shift, top = _step_keys(m, b, k, alpha, beta)
+        last = placed == n and l <= n
+        states, keys = table.shape
+        width, span = keys + top, top + 1
+        if (last and not pair_key
+                and states * span + span * (keys + span) <= step.states * width):
+            # Y in rows of keys + span cells, zero-padded, read again in rows
+            # of width = keys + span - 1 cells: row delta starts delta later.
+            skew = np.zeros((span, keys + span))
+            np.matmul(_step_weights(m, b, k, alpha, beta).T, table, out=skew[:, :keys])
+            table = skew.ravel()[:span * width].reshape(span, width).sum(axis=0)
         else:
-            table = np.zeros(size)
-            for c, mult in enumerate(step.mult):
-                table[base[state, c] + key] += count * mult
+            state, key = np.nonzero(table)
+            count = table[state, key]
+            block = max(1, step.states * width // (2 * len(count)))
+            index, size = (shift, width) if last else (step.dest * width + shift,
+                                                        step.states * width)
+            if last or block >= len(step.mult):
+                parts = (np.bincount((index[state, c:c + block] + key[:, np.newaxis]).ravel(),
+                                     (count[:, np.newaxis] * step.mult[c:c + block]).ravel(), size)
+                         for c in range(0, len(step.mult), block))
+                table = next(parts)
+                for part in parts:
+                    table += part
+            else:
+                table = np.zeros(size)
+                for c, mult in enumerate(step.mult):
+                    table[index[state, c] + key] += count * mult
         table = table.reshape(-1, width)
     table = table.astype(np.int64)
     if l > n:
@@ -363,8 +427,9 @@ class PartitionCache:
     The histogram of (discordant, tied-in-one) pair counts is the same program
     over the key (P+1) d + e. The exact sampler runs the program backward
     and samples forward through it; its edges' distinct distances and
-    multiplicities, and the shares of the last spread drawn at, are cached
-    per (l, p, class). Safe for concurrent use; racing writers recompute
+    multiplicities, and the shares of the last spread drawn at with the
+    running shares of the states one draw visited, are cached per
+    (l, p, class). Safe for concurrent use; racing writers recompute
     identical values. The process keeps one instance (default_cache), like
     the steps; a new instance builds its rows and tables afresh.
     """
@@ -377,9 +442,10 @@ class PartitionCache:
 
     def _draw_tables(
         self, n: int, l: int, p: float, class_key: tuple[int, ...], spread: float
-    ) -> tuple[tuple[_Step, ...], np.ndarray, list[np.ndarray]]:
-        """The class's program, its final states, and per bucket the shares
-        that the draw picks compositions by at this spread.
+    ) -> tuple[tuple[_Step, ...], np.ndarray, list[list], list[np.ndarray], list[dict]]:
+        """The class's program, its final states, each bucket's composition
+        stages as lists, and per bucket the shares that the draw picks
+        compositions by at this spread, with the walks built from them.
 
         Run backward from the final states, each weighted by C(l, j) / C(n, j)
         for its j occupied stages when l > n: ahead[s] sums, over the ways
@@ -401,7 +467,9 @@ class PartitionCache:
         (l, p, class) with those terms, in one entry replaced whole under the
         lock, so that a reader never pairs one spread with another's shares:
         the chain draws again at the same spread and class after each
-        rejected move.
+        rejected move. The walks, one dict per bucket that one draw fills
+        with each state it visits (see draw), start empty with each spread's
+        shares in that entry, so they too never outlive their spread.
         """
         key = (l, p, class_key)
         with self._lock:
@@ -420,11 +488,12 @@ class PartitionCache:
             mult = np.concatenate([np.repeat(step.mult.astype(np.float64), step.dest.shape[0])
                                    for step in steps])
             into = [np.ascontiguousarray(step.dest.T) for step in steps]
-            terms = (distinct, distinct.searchsorted(dist), mult, finish, into)
-            entry = (steps, final_states, terms, None, None)
-        steps, final_states, terms, last_spread, shares = entry
+            terms = (distinct, distinct.searchsorted(dist), mult, finish, into,
+                     [step.stages.tolist() for step in steps])
+            entry = (steps, final_states, terms, None, None, None)
+        steps, final_states, terms, last_spread, shares, walks = entry
+        distinct, index, mult, finish, into, stage_lists = terms
         if last_spread != spread:
-            distinct, index, mult, finish, into = terms
             edge_w = mult * np.exp(distinct / -spread)[index]
             shares, ahead, end = [], finish, len(edge_w)
             for dest in reversed(into):
@@ -437,9 +506,10 @@ class PartitionCache:
                     ahead = share.sum(axis=0)
                 end = start
             shares.reverse()
+            walks = [{} for _ in steps]
             with self._lock:
-                self._draw_terms[key] = (steps, final_states, terms, spread, shares)
-        return steps, final_states, shares
+                self._draw_terms[key] = (steps, final_states, terms, spread, shares, walks)
+        return steps, final_states, stage_lists, shares, walks
 
     def draw(
         self, center: tuple[int, ...], l: int, p: float, spread: float,
@@ -454,9 +524,13 @@ class PartitionCache:
         uniform u per bucket and draw, that is the first composition whose
         running share reaches (1 - u) of the state's total. One draw, the
         call each chain iteration makes, walks its own path and places its
-        items in plain Python, reading one row of shares per bucket, with
-        its uniforms from one call and, for l > n, its stage subset from
-        _uniform_subset.
+        items in plain Python, with its uniforms from one call and, for
+        l > n, its stage subset from _uniform_subset. The first time a
+        state is visited at a spread, its row of shares is summed into a
+        running list (itertools.accumulate) and kept, with the state's row
+        of destinations, in that spread's walk for the bucket; bisect_left
+        then finds the composition, the same index as a scan for the first
+        running share that reaches the target.
         Several draws (simulate, sample) build each bucket's cumulative
         table once per call, every state's row scaled to (s - 1, s], and
         search it for all draws at once. The compositions fix how many of each
@@ -469,19 +543,23 @@ class PartitionCache:
         """
         n = len(center)
         class_key, flip, bucket = center_buckets(center)
-        steps, final_states, shares = self._draw_tables(n, l, p, class_key, spread)
+        steps, final_states, stage_lists, shares, walks = self._draw_tables(
+            n, l, p, class_key, spread)
         if count == 1:
             # The uniforms of the buckets, then of the placement: one call.
             uniforms = rng.random(len(steps) + n).tolist()
             state, stages = 0, []
-            for step, share, u in zip(steps, shares, uniforms):
-                run = list(itertools.accumulate(share[:, state].tolist()))
+            for step, share, walk, comp_stages, u in zip(
+                    steps, shares, walks, stage_lists, uniforms):
+                visit = walk.get(state)
+                if visit is None:
+                    visit = walk[state] = (list(itertools.accumulate(share[:, state].tolist())),
+                                           step.dest[state].tolist())
+                run, dest = visit
                 # 0 < target <= run[-1]: c stops at a composition with share.
-                target, c = (1.0 - u) * run[-1], 0
-                while run[c] < target:
-                    c += 1
-                stages += step.stages[c].tolist()
-                state = step.dest[state, c]
+                c = bisect.bisect_left(run, (1.0 - u) * run[-1])
+                stages += comp_stages[c]
+                state = dest[c]
             # The placement and the mapping below, in plain Python for one draw.
             keys = [b + u for b, u in zip(bucket.tolist(), uniforms[len(steps):])]
             x = [0] * n

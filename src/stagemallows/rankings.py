@@ -154,9 +154,6 @@ class CentralRanking:
                     f"entry {idx} has stage {value} outside 1..{domain.l}"
                 )
 
-    def as_partial(self) -> PartialRanking:
-        return PartialRanking(self.stages)
-
 
 Ranking = Union[PartialRanking, CentralRanking]
 

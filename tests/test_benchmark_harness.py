@@ -44,7 +44,7 @@ def _run_script(name: str) -> dict:
 
 def test_row_harness_times_every_space():
     spaces = _run_script("time_rows.py")["spaces"]
-    assert len(spaces) == 4
+    assert len(spaces) == 5
     assert all(space["row_s"] > 0 for space in spaces), spaces
 
 

@@ -116,8 +116,10 @@ class TestByteGuard:
 
 
 def clear_program_caches():
-    """Forget every cached stage-count step, state list and composition."""
-    for cached in (mallows._stage_step, mallows._placed_states, mallows._compositions):
+    """Forget every cached stage-count step, its key terms, state list and
+    composition."""
+    for cached in (mallows._stage_step, mallows._step_keys, mallows._step_weights,
+                   mallows._placed_states, mallows._compositions):
         cached.cache_clear()
 
 
@@ -286,11 +288,13 @@ class TestHistogram:
 
 
 class TestRow:
-    @pytest.mark.parametrize("n,l", [(8, 4), (6, 9)])
+    @pytest.mark.parametrize("n,l", [(8, 4), (10, 4), (6, 9)])
     def test_equals_the_histogram_summed_onto_the_grid(self, n, l):
         # p = 1/2, 3/4 and 1 run the program over the lattice key b d + a e
-        # (p = a / b); 0.6 and 0.731 over the key (P+1) d + e. Classes of
-        # fewer than n items give the restricted rows a fit uses.
+        # (p = a / b), whose last bucket lands by a matrix product where
+        # l <= r; 0.6, 0.731 and the histogram over the key (P+1) d + e, which
+        # keeps the scatter. Classes of fewer than n items give the
+        # restricted rows a fit uses.
         cache = PartitionCache()
         for p in (0.5, 0.75, 1.0, 0.6, 0.731):
             grid = distance_grid(n, p)
@@ -588,6 +592,17 @@ class TestSample:
     def test_chi_square_against_exact_pmf(self, center, l, spread, route, count):
         draws = route(params(center, spread, l), np.random.default_rng(11), count)
         assert chi_square_pvalue(draws, naive_pmf(center, l, spread)) > 0.001
+
+    @pytest.mark.parametrize("center,l", [((1, 1, 2, 2, 3, 3, 4, 4), 4), ((1, 2, 2), 9),
+                                          ((3, 1, 2, 2, 1, 3), 3)])
+    def test_alternating_spreads_draw_as_fresh_caches(self, center, l):
+        # One cache keeps each spread's running shares; drawing at spreads
+        # a, b, a, b, ... must never walk one spread's runs at another.
+        kept, fresh = np.random.default_rng(8), np.random.default_rng(8)
+        cache = PartitionCache()
+        for spread in [0.6, 1.7] * 150:
+            want = PartitionCache().draw(center, l, 0.5, spread, fresh, 1)
+            assert cache.draw(center, l, 0.5, spread, kept, 1) == want, spread
 
     def test_single_stage_gives_the_only_point(self):
         for route in (batch, one_by_one):
