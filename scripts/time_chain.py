@@ -20,7 +20,7 @@ of R timed passes over them (time.perf_counter), after one untimed pass:
   log psi of every row kept at that spread;
 - ``evaluate_new_spread_us``: one spread move's, _Evaluator.evaluate at a
   spread other than the last two evaluated, which computes the log psi of
-  every row the evaluator holds;
+  every row of the space's table in the process's PartitionCache;
 - ``draw_us`` and ``draw_rebuild_us``: one PartitionCache.draw of one
   ranking around a center, the call each chain iteration makes, at the
   spread of the last draw (its shares kept) and at a new spread each time

@@ -9,16 +9,16 @@ random walk on the spread, and reports the maximum-a-posteriori sample.
 A censored respondent's likelihood is restricted to what they ranked:
 their term is the Mallows density of their observed items, normalized
 over the assignments of those items alone, so it is a proper likelihood
-for what was observable. Every such normalizer is a row over the distance
-grid of n items (mallows.log_psi_rows), so the likelihood at a spread is
-one vector of weights over that grid and one small matrix product.
+for what was observable.
 
 A chain iteration's work depends neither on the number of respondents nor
 on how often a spread recurs. The respondents are reduced once to per-pair
 sign tallies and observed-item groups, so a new center's distances to the
-data and to the prior center are one gather over the item pairs. The
-partition terms of every row met so far are one log_psi_rows call per
-spread, kept for the last two spreads: the center move runs at a spread the
+data and to the prior center are one gather over the item pairs. Every
+normalizer is a row over the distance grid of n items in the space's one
+table of rows (mallows.RowTable), which the fit gathers from and does not
+copy; the log psi of all its rows is one log_psi_rows call per spread,
+kept for the last two spreads. The center move runs at a spread the
 previous iteration evaluated, so an iteration makes one such call, for its
 spread proposal. Each move gathers its proposed state's terms, the
 likelihood's, the prior's and the proposal ratio's, from that vector, and
@@ -40,7 +40,6 @@ from .mallows import (
     MallowsParams,
     center_buckets,
     check_capacity,
-    class_of_sizes,
     default_cache,
     distance_grid,
     log_psi_rows,
@@ -194,13 +193,13 @@ class _Evaluator:
     array with a respondent axis. The prior center's own tallies sit beside
     them. A center's statistics are its summed dropped-pair distance to the
     data and its distance to the prior center, from one gather over the
-    tallies, and one array of row indices: each group's restricted class,
-    then the prior center's class, then its own. Every class is one row of
-    a matrix over the distance grid of n items, and the log psi of all rows
-    at a spread is one log_psi_rows call, kept for the last two spreads and
-    rebuilt when rows were added since (_log_psi_at); a center's partition
-    terms are a gather from it (evaluate). The statistics do not depend on
-    the spread and are kept for the last _CENTER_STATS_MAX centers met.
+    tallies, and the indices of its rows in the space's RowTable, one dict
+    lookup each: each group's restricted class, then the prior center's
+    class, then its own. The log psi of all the table's rows at a spread is
+    one log_psi_rows call, kept for the last two spreads and rebuilt when
+    the table has grown since (_log_psi_at); a center's partition terms are
+    a gather from it (evaluate). The statistics do not depend on the spread
+    and are kept for the last _CENTER_STATS_MAX centers met.
     """
 
     _CENTER_STATS_MAX = 4096
@@ -255,38 +254,14 @@ class _Evaluator:
         self._group_counts = np.array(list(groups.values()), dtype=np.float64)
 
         self.grid = distance_grid(n, cfg.p)
-        # Rows fill self._rows[:self._row_count]; it doubles when full.
-        self._rows = np.empty((1, len(self.grid)))
-        self._row_count = 0
-        self._row_of: dict[tuple[int, ...], int] = {}
+        self._table = default_cache().table(n, self.l, cfg.p)
         self._center_stats: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
-        # Spread -> log psi of the first len(vector) rows, for the last two
-        # spreads evaluated (_log_psi_at).
+        # Spread -> log psi of the table's first len(vector) rows (_log_psi_at).
         self._log_psi: OrderedDict[float, np.ndarray] = OrderedDict()
-        self._prior_row = self._row(structural_class(prior.center))
+        self._prior_row = self._table.find(structural_class(prior.center))
         # A fixed prior spread makes the prior's normalizer one constant.
-        self._prior_log_psi = None
-        if prior.pi_spread is not None:
-            self._prior_log_psi = float(
-                log_psi_rows(self._rows[self._prior_row], self.grid, prior.pi_spread)
-            )
-
-    def _row(self, sizes: tuple[int, ...]) -> int:
-        """The index of the row of the class of these bucket sizes, added on
-        first use. The sizes are remembered with the class key, so a repeated
-        restriction costs one lookup."""
-        index = self._row_of.get(sizes)
-        if index is None:
-            class_key = class_of_sizes(sizes)
-            index = self._row_of.get(class_key)
-            if index is None:
-                index = self._row_count
-                if index == len(self._rows):
-                    self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
-                self._rows[index] = default_cache().row(self.n, self.l, class_key, self.cfg.p)
-                self._row_count += 1
-            self._row_of[sizes] = self._row_of[class_key] = index
-        return index
+        self._prior_log_psi = None if prior.pi_spread is None else float(log_psi_rows(
+            self._table.matrix[self._prior_row], self.grid, prior.pi_spread))
 
     # -- per-center statistics -------------------------------------------
 
@@ -309,9 +284,9 @@ class _Evaluator:
         class_key, _, bucket = center_buckets(center)
         sizes = self._group_items @ (bucket[:, np.newaxis] == np.arange(len(class_key)))
         groups = [*map(tuple, sizes.tolist()), class_key]
-        rows = list(map(self._row_of.get, groups))
+        rows = list(map(self._table.index.get, groups))
         if None in rows:
-            rows = list(map(self._row, groups))
+            rows = list(map(self._table.find, groups))
         rows.insert(-1, self._prior_row)
         stats = (total_d, np.array(rows), prior_d)
         self._center_stats[center] = stats
@@ -320,12 +295,13 @@ class _Evaluator:
         return stats
 
     def _log_psi_at(self, spread: float) -> np.ndarray:
-        """log psi of every row at this spread, kept for the last two spreads
-        and recomputed, in one log_psi_rows call, when rows were added after
-        it was built."""
+        """log psi of every row of the table at this spread, kept for the last
+        two spreads and recomputed, in one log_psi_rows call, when the table
+        has grown since; count is read before matrix (see RowTable)."""
+        count = self._table.count
         log_psi = self._log_psi.get(spread)
-        if log_psi is None or len(log_psi) < self._row_count:
-            log_psi = log_psi_rows(self._rows[:self._row_count], self.grid, spread)
+        if log_psi is None or len(log_psi) < count:
+            log_psi = log_psi_rows(self._table.matrix[:count], self.grid, spread)
             self._log_psi[spread] = log_psi
             if len(self._log_psi) > 2:
                 self._log_psi.popitem(last=False)

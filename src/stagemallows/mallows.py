@@ -8,29 +8,18 @@ Kendall tau distance from a central ranking:
 where psi is the normalizing sum over all l^n assignments. Both psi and
 the exact sampler come from one dynamic program per structural class,
 which places the center's buckets in stage order and tracks how many
-items sit at each stage. Its steps are shared: placing a bucket of b items
-after m items over k stages is one cached step, whatever the class, so the
-215 classes of at most 10 items over 4 stages use 64 steps. For psi it
-counts the points per integer key of their d discordant and e tied-in-one
-pairs: b d + a e when p = a / b with b <= C(n, 2) + 1 (the lattice, where
-equal keys are equal distances; 2d + e at p = 1/2), else
-(C(n, 2) + 1) d + e, the pair itself. Each step's key terms are kept
-with the step, per key, and a step scatters its table's nonzero cells
-with np.bincount; when l <= n the last bucket lands straight on the key
-axis, on the lattice by one matrix product where its sizes allow, exact
-in float64 since every partial sum is an integer below 2^53. Those
-counts, summed onto the distance grid of n items, make every partition
-term one row over that grid, and log psi at a spread is
-log(row @ exp(-grid / spread)) (log_psi_rows). The sampler runs the
-program backward at the requested spread, keeping each composition's
-share of the weight ahead, and samples forward through it: one draw, as
-the chain proposes, walks its own path through the running shares of the
-states it visits, kept with the spread's shares, and a batch searches one
-cumulative table per bucket. Neither touches the l^n points.
+items sit at each stage; placing a bucket of b items after m items over k
+stages is one cached step, shared by every class (_stage_step). For psi
+the program counts the points per integer distance key
+(_stage_count_table), and those counts, summed onto the distance grid of
+n items, make every partition term one row over that grid (RowTable.find):
+log psi at a spread is log(row @ exp(-grid / spread)) (log_psi_rows). The
+sampler runs the program backward at the requested spread and samples
+forward through it (PartitionCache.draw). Neither touches the l^n points.
 Both sit behind one capacity rule (check_capacity), which bounds the
-program's own tables and keeps its integer counts exact. The rows and the
-shares of the last spread drawn at are kept per process, like the steps,
-in one PartitionCache (default_cache).
+program's own tables and keeps its integer counts exact. The rows, one
+table per space, and the shares of the last spread drawn at are kept per
+process, like the steps, in one PartitionCache (default_cache).
 """
 
 from __future__ import annotations
@@ -100,14 +89,11 @@ def check_capacity(n: int, l: int, draws: int = 0) -> int:
     below the 2^53 where float64 stops holding every integer.
     The program's steps, their key shifts and last-bucket matrices, shared
     by every class and kept for the process (_stage_step, _step_keys,
-    _step_weights), are far smaller: all of them that a fit can meet take
-    under a fifth of the estimate in every space measured (BENCH_17.json),
-    at most 31 MiB at n = 16, l = 4, p = 1/2 against 433 MiB.
-    Each of `draws` rankings adds 512 + 128 n bytes for its arrays, Python
-    rankings and dataset text; a `simulate` of 20,000 respondents peaked
-    (tracemalloc) at 0.48 KB each at n = 8, 1.55 KB at n = 40. A chain's
-    retained samples are draws too: trace rows and trace text took 350, 409,
-    491 and 733 bytes each at n = 2, 8, 16 and 40. n < 1 or l < 1 is not a space
+    _step_weights), took under a fifth of the estimate in every space
+    measured (BENCH_17.json). Each of `draws` rankings, a chain's retained
+    samples included, adds 512 + 128 n bytes for its arrays, Python rankings
+    and dataset text, above the per-ranking peaks measured for `simulate`
+    and for a chain's trace (CHANGES.md). n < 1 or l < 1 is not a space
     (ValueError).
     """
     if n < 1 or l < 1:
@@ -148,17 +134,23 @@ def structural_class(center: CentralRanking | Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def _compositions(b: int, l: int) -> tuple[np.ndarray, ...]:
-    """Every way v to spread b items over l stages, one per row, with
+    """Every way v to spread b items over l stages, one per row in the
+    lexicographic order of its l - 1 bars among b + l - 1 slots, with
     below[:, t] = sum_{t' < t} v_t', the multinomial(b; v), and the number
-    of the b items' pairs that v splits apart, C(b,2) - sum_t C(v_t,2)."""
-    rows = []
-    for bars in itertools.combinations(range(b + l - 1), l - 1):
-        edges = (-1, *bars, b + l - 1)
-        rows.append([hi - lo - 1 for lo, hi in zip(edges, edges[1:])])
-    comps = np.array(rows, dtype=np.int64)
-    below = np.cumsum(comps, axis=1) - comps
-    mult = np.array([math.factorial(b) // math.prod(map(math.factorial, v)) for v in rows],
-                    dtype=np.int64)
+    of the b items' pairs that v splits apart, C(b,2) - sum_t C(v_t,2).
+    Each multinomial is a product of binomials C(below_t + v_t, v_t) from a
+    Pascal table, exact in int64: each partial product is at most l^b, and
+    at l = 1, where a large b overflows the table, only its diagonal is read."""
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(b + l - 1), l - 1)), np.int64)
+    comps = np.diff(bars.reshape(math.comb(b + l - 1, l - 1), l - 1), axis=1,
+                    prepend=-1, append=b + l - 1) - 1
+    upto = np.cumsum(comps, axis=1)
+    # np.tri's first row and column are already Pascal's.
+    pascal = np.tri(b + 1, dtype=np.int64)
+    for i in range(1, b + 1):
+        pascal[i, 1:] = pascal[i - 1, 1:] + pascal[i - 1, :-1]
+    below, mult = upto - comps, pascal[upto, comps].prod(axis=1)
     split = math.comb(b, 2) - (comps * (comps - 1) // 2).sum(axis=1)
     for array in (comps, below, mult, split):
         array.setflags(write=False)
@@ -240,6 +232,22 @@ def _step_keys(m: int, b: int, k: int, alpha: int, beta: int) -> tuple[np.ndarra
     shift = alpha * step.discordant + beta * step.tied
     shift.setflags(write=False)
     return shift, int(shift.max())
+
+
+@lru_cache(maxsize=None)
+def _key_lookup(r: int, n: int, p: float) -> tuple[int, int, np.ndarray]:
+    """(alpha, beta, lookup): the key alpha d + beta e of rows of r items at
+    p (see RowTable.find), and each key's index in distance_grid(n, p); kept
+    per (r, n, p), like the steps, for every class of r items."""
+    pairs = math.comb(r, 2)
+    a, b = p.as_integer_ratio()
+    alpha, beta = (b, a) if b <= pairs + 1 else (pairs + 1, 1)
+    d, e = _pair_triangle(pairs)
+    # The grid holds these very sums, so each one is found exactly.
+    lookup = np.zeros(alpha * pairs + 1, dtype=np.intp)
+    lookup[alpha * d + beta * e] = np.searchsorted(distance_grid(n, p), d + p * e)
+    lookup.setflags(write=False)
+    return alpha, beta, lookup
 
 
 @lru_cache(maxsize=None)
@@ -356,6 +364,13 @@ def center_buckets(center: tuple[int, ...]) -> tuple[tuple[int, ...], bool, np.n
     return class_key, flip, bucket
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending."""
+    # Deduplicated by hand: a bare np.unique imports numpy.ma, about 1 MB.
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
+
+
 def _pair_triangle(pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """Every (discordant, tied-one) count pair d, e >= 0 with d + e <= pairs."""
     span = np.arange(pairs + 1)
@@ -368,9 +383,7 @@ def distance_grid(n: int, p: float) -> np.ndarray:
     ascending from 0: every d_p between two rankings of at most n items.
     With p = 1/2 there are 2 C(n, 2) + 1 of them (57 at n = 8)."""
     d, e = _pair_triangle(n * (n - 1) // 2)
-    # Deduplicated by hand: a bare np.unique imports numpy.ma, about 1 MB.
-    values = np.sort(d + p * e)
-    grid = values[np.append(True, values[1:] != values[:-1])]
+    grid = _distinct(d + p * e)
     grid.setflags(write=False)
     return grid
 
@@ -415,29 +428,76 @@ def _uniform_subset(size: int, l: int, rng: np.random.Generator) -> list[int]:
     return chosen
 
 
+class RowTable:
+    """The rows of one space (n, l, p): matrix[:count], one per structural
+    class met (see find), in a matrix that doubles when full, and index, from
+    each class key and each tuple of bucket sizes looked up to its row. A
+    row is added once, under the table's lock, and never changes, so a
+    reader needs no lock: it reads a row's index, or count, and then matrix,
+    which holds every row added by then."""
+
+    def __init__(self, n: int, l: int, p: float):
+        self.n, self.l, self.p, self._lock = n, l, p, threading.Lock()
+        self.matrix = np.empty((1, len(distance_grid(n, p))))
+        self.count = 0
+        self.index: dict[tuple[int, ...], int] = {}
+
+    def find(self, sizes: tuple[int, ...]) -> int:
+        """The index of the row of the class of these bucket sizes
+        (class_of_sizes), built outside the lock on first use; a writer that
+        lost the race to add it keeps the row added first.
+
+        A class of r <= n items counts the points of {1..l}^r per distance,
+        over one integer key per (d, e): with p = a / b in lowest terms
+        (float p is dyadic, so b is a power of 2) and b <= P + 1, P = C(r, 2),
+        the lattice b d + a e = b (d + p e), where equal keys are equal
+        distances; otherwise (P+1) d + e, the (d, e) pair itself, as in
+        histogram. _key_lookup maps each key to its grid index. The counts
+        are exact (see _stage_count_table); the float64 row rounds an entry
+        only past 2^53, which needs l > n.
+        """
+        found = self.index.get(sizes)
+        if found is not None:
+            return found
+        class_key = class_of_sizes(sizes)
+        if class_key not in self.index:
+            check_capacity(sum(class_key), self.l)
+            alpha, beta, lookup = _key_lookup(sum(class_key), self.n, self.p)
+            counts = _stage_count_table(class_key, self.l, alpha, beta)
+            keys = np.flatnonzero(counts)
+            row = np.bincount(lookup[keys], weights=counts[keys], minlength=self.matrix.shape[1])
+            with self._lock:
+                if class_key not in self.index:
+                    if self.count == len(self.matrix):
+                        self.matrix = np.concatenate([self.matrix, np.empty_like(self.matrix)])
+                    # The row is in place before its index or count says so.
+                    self.matrix[self.count] = row
+                    self.index[class_key] = self.count
+                    self.count += 1
+        # Every writer stores the same index here.
+        found = self.index[sizes] = self.index[class_key]
+        return found
+
+
 class PartitionCache:
     """Memoized grid rows and draw weights.
 
     A class's row counts the points of the whole space per value of
-    distance_grid(n, p). The stage-count dynamic program builds it over an
-    integer distance key (see row), without touching the l^n points, and
-    it is cached per (n, l, p, class); log psi at any spread is then one
-    log_psi_rows over that row, and nothing is cached per spread. The
-    program's steps are shared by all classes (see _stage_step).
-    The histogram of (discordant, tied-in-one) pair counts is the same program
-    over the key (P+1) d + e. The exact sampler runs the program backward
-    and samples forward through it; its edges' distinct distances and
-    multiplicities, and the shares of the last spread drawn at with the
-    running shares of the states one draw visited, are cached per
-    (l, p, class). Safe for concurrent use; racing writers recompute
+    distance_grid(n, p), built by the stage-count program without touching
+    the l^n points. Each space (n, l, p) keeps its rows in one RowTable
+    (table), the only store of rows: row and log_psi read it, a fit gathers
+    from it, and nothing is cached per spread. The exact sampler runs the
+    program backward and samples forward through it; its edges' distinct
+    distances and multiplicities, and the shares of the last spread drawn
+    at with the running shares of the states one draw visited, are cached
+    per (l, p, class). Safe for concurrent use; racing writers recompute
     identical values. The process keeps one instance (default_cache), like
     the steps; a new instance builds its rows and tables afresh.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._rows: dict[tuple, np.ndarray] = {}
-        self._lookups: dict[tuple, tuple] = {}
+        self._tables: dict[tuple, RowTable] = {}
         self._draw_terms: dict[tuple, tuple] = {}
 
     def _draw_tables(
@@ -460,8 +520,7 @@ class PartitionCache:
         total underflows to 0 is never entered, since the share leading
         into it is 0.
 
-        The class's edges take few distinct distances (30 for the 1,224
-        edges of the class (1, 2, 4, 1) at l = 4, p = 1/2), so each edge keeps
+        The class's edges take few distinct distances, so each edge keeps
         its index into them and its multiplicity, and a new spread takes one
         exp per distinct distance. The shares of the last spread are kept per
         (l, p, class) with those terms, in one entry replaced whole under the
@@ -482,9 +541,7 @@ class PartitionCache:
                 ratio = np.array([math.comb(l, j) / math.comb(n, j) for j in range(n + 1)])
                 finish = ratio[np.count_nonzero(final_states, axis=1)]
             dist = np.concatenate([(step.discordant + p * step.tied).T.ravel() for step in steps])
-            # Deduplicated by hand, as in distance_grid.
-            values = np.sort(dist)
-            distinct = values[np.append(True, values[1:] != values[:-1])]
+            distinct = _distinct(dist)
             mult = np.concatenate([np.repeat(step.mult.astype(np.float64), step.dest.shape[0])
                                    for step in steps])
             into = [np.ascontiguousarray(step.dest.T) for step in steps]
@@ -611,56 +668,23 @@ class PartitionCache:
         keys = np.flatnonzero(counts)
         return (*np.divmod(keys, pairs + 1), counts[keys])
 
-    def _key_lookup(self, r: int, n: int, p: float) -> tuple[int, int, np.ndarray]:
-        """(alpha, beta, lookup): the key alpha d + beta e that rows of r items
-        run the program over at p (see row), and each key's index in
-        distance_grid(n, p). Kept per (r, n, p): every class of r items
-        shares it."""
-        key = (r, n, p)
-        with self._lock:
-            hit = self._lookups.get(key)
-        if hit is not None:
-            return hit
-        pairs = math.comb(r, 2)
-        a, b = p.as_integer_ratio()
-        alpha, beta = (b, a) if b <= pairs + 1 else (pairs + 1, 1)
-        d, e = _pair_triangle(pairs)
-        # The grid holds these very sums, so each one is found exactly.
-        lookup = np.zeros(alpha * pairs + 1, dtype=np.intp)
-        lookup[alpha * d + beta * e] = np.searchsorted(distance_grid(n, p), d + p * e)
-        lookup.setflags(write=False)
-        with self._lock:
-            self._lookups[key] = (alpha, beta, lookup)
-        return alpha, beta, lookup
+    def table(self, n: int, l: int, p: float) -> RowTable:
+        """The rows of the space (n, l, p), an empty table on first use."""
+        table = self._tables.get((n, l, p))
+        if table is None:
+            with self._lock:
+                table = self._tables.setdefault((n, l, p), RowTable(n, l, p))
+        return table
 
     def row(self, n: int, l: int, class_key: tuple[int, ...], p: float) -> np.ndarray:
         """The class's multiplicities over {1..l}^r, r = sum(class_key) <= n,
-        summed per distance of distance_grid(n, p).
-
-        The program runs over one integer key per (d, e). With p = a / b in
-        lowest terms (float p is dyadic, so b is a power of 2) and b <= P + 1,
-        P = C(r, 2), the key is b d + a e = b (d + p e): the lattice, where
-        equal keys are equal distances, 2d + e at p = 1/2. Otherwise it is
-        (P+1) d + e, the (d, e) pair itself, as in histogram. A lookup built
-        from the (d, e) triangle, kept per (r, n, p), maps each key to its
-        grid index. The program's counts are exact (see _stage_count_table);
-        the float64 row rounds an entry only past 2^53, which needs l > n.
-        """
-        key = (n, l, p, class_key)
-        with self._lock:
-            hit = self._rows.get(key)
-        if hit is not None:
-            return hit
-        r = sum(class_key)
-        check_capacity(r, l)
-        alpha, beta, lookup = self._key_lookup(r, n, p)
-        counts = _stage_count_table(class_key, l, alpha, beta)
-        keys = np.flatnonzero(counts)
-        row = np.bincount(lookup[keys], weights=counts[keys],
-                          minlength=len(distance_grid(n, p)))
+        summed per distance of distance_grid(n, p): a read-only view of its
+        row in the space's table (see RowTable.find)."""
+        table = self.table(n, l, p)
+        # The index first: adding it may replace the matrix.
+        found = table.find(class_key)
+        row = table.matrix[found]
         row.setflags(write=False)
-        with self._lock:
-            self._rows[key] = row
         return row
 
     def log_psi(self, n: int, l: int, class_key: tuple[int, ...], p: float, spread: float

@@ -6,8 +6,10 @@ The traced run wraps PartitionCache.log_psi and PartitionCache.histogram by
 name and checks that the layers' self times add up to the traced wall
 time within 5%, so this test fails when a refactor of the package breaks
 the names the tracer patches or the harness's own checks. time_rows.py
-clears the stage-count caches by name, and time_chain.py and time_io.py
-time the chain's private evaluator, so they break the same way.
+clears the stage-count caches and the row key lookups (mallows._key_lookup)
+by name, so that each pass builds its rows cold, and time_chain.py and
+time_io.py time the chain's private evaluator, which reads the rows from
+the process's PartitionCache; they break the same way.
 """
 
 import json

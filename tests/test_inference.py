@@ -358,7 +358,9 @@ class TestEvaluator:
         (d, rows, prior_d), (typed_d, typed_rows, typed_prior_d) = (
             ev.center_stats((2, 1)) for ev in (plain, typed))
         assert (d, prior_d) == (typed_d, typed_prior_d)
-        assert np.array_equal(plain._rows[rows], typed._rows[typed_rows])
+        # Both read the process's one table of rows for the space.
+        assert plain._table is typed._table
+        assert np.array_equal(rows, typed_rows)
 
     @pytest.mark.parametrize("l", [2, 3, 5])
     @pytest.mark.parametrize("tie", [0.5, 0.731, 1.0])
@@ -400,12 +402,13 @@ class TestEvaluator:
                 assert total_d == sum(kendall_tau_partial(resp, central(*center), cfg)
                                       for resp in data)
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     @pytest.mark.parametrize("scale, pi_spread", [(0.1, None), (0.0, None), (0.1, 0.8)])
     def test_one_partition_evaluation_per_move(self, monkeypatch, scale, pi_spread):
         # The log psi of every row is computed once per spread: one call at
         # the start, one per spread proposal, and one per move whose center
-        # added a row (the vector at its spread is then stale). A fixed prior
-        # spread adds one call per fit for the prior's constant.
+        # added a row to the table (the vector at its spread is then stale).
+        # A fixed prior spread adds one call per fit for the prior's constant.
         made = {"rows": 0, "cache": 0}
         added = []  # per center_stats call, whether it added a row
 
@@ -415,25 +418,19 @@ class TestEvaluator:
                 return func(*args, **kwargs)
             return wrapper
 
-        center_stats, row = inference._Evaluator.center_stats, inference._Evaluator._row
+        center_stats = inference._Evaluator.center_stats
 
         def stats_of_move(self, center):
-            added.append(False)
-            return center_stats(self, center)
-
-        def registered(self, sizes):
-            before = self._row_count
-            index = row(self, sizes)
-            if added and self._row_count > before:
-                added[-1] = True
-            return index
+            before = self._table.count
+            stats = center_stats(self, center)
+            added.append(self._table.count > before)
+            return stats
 
         rows = counted("rows", mallows.log_psi_rows)
         monkeypatch.setattr(mallows, "log_psi_rows", rows)
         monkeypatch.setattr(inference, "log_psi_rows", rows)
         monkeypatch.setattr(PartitionCache, "log_psi", counted("cache", PartitionCache.log_psi))
         monkeypatch.setattr(inference._Evaluator, "center_stats", stats_of_move)
-        monkeypatch.setattr(inference._Evaluator, "_row", registered)
         data, truth = _synthetic(4, 3, 1.0, 15, seed=9, missing=20.0)
         prior = PriorConfig(center=truth.center, pi_spread=pi_spread)
         iterations = 60
@@ -447,11 +444,12 @@ class TestEvaluator:
                  + (pi_spread is not None))
         assert made == {"rows": calls, "cache": 0}
 
+    @pytest.mark.usefixtures("fresh_partition_cache")
     def test_evaluate_matches_direct_rows(self):
         # Every move's terms gathered from the log psi of all rows at a spread
         # equal, exactly, the same formula over log psi of the center's own
-        # rows. Centers are met one by one, so many add rows after the
-        # vectors at the earlier spreads were built.
+        # rows. Centers are met one by one, so many add rows to the table
+        # after the vectors at the earlier spreads were built.
         data, truth = _synthetic(6, 3, 1.0, 40, seed=21, missing=30.0)
         ev = inference._Evaluator(data, truth.domain, PriorConfig(center=truth.center),
                                   DistanceConfig())
@@ -461,12 +459,12 @@ class TestEvaluator:
         spreads = [0.3, 1.0, 0.3, 2.5, 1.0, 0.05, 7.0]
         added_late = 0
         for center in centers:
-            before = ev._row_count
+            before = ev._table.count
             stats = ev.center_stats(center)
-            added_late += ev._row_count > before and len(ev._log_psi) > 0
+            added_late += ev._table.count > before and len(ev._log_psi) > 0
             total_d, rows, prior_d = stats
             for spread in spreads:
-                log_psi = log_psi_rows(ev._rows[rows], ev.grid, spread)
+                log_psi = log_psi_rows(ev._table.matrix[rows], ev.grid, spread)
                 want = (float(-total_d / spread - ev._group_counts @ log_psi[:-2]),
                         ev.prior.log_density(prior_d, spread, float(log_psi[-2])),
                         float(log_psi[-1]))

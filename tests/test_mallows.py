@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -116,10 +117,10 @@ class TestByteGuard:
 
 
 def clear_program_caches():
-    """Forget every cached stage-count step, its key terms, state list and
-    composition."""
+    """Forget every cached stage-count step, its key terms, state list,
+    composition and key lookup."""
     for cached in (mallows._stage_step, mallows._step_keys, mallows._step_weights,
-                   mallows._placed_states, mallows._compositions):
+                   mallows._placed_states, mallows._compositions, mallows._key_lookup):
         cached.cache_clear()
 
 
@@ -178,6 +179,19 @@ class TestRowBytes:
 
 
 class TestStageStep:
+    def test_compositions_in_bar_order_with_their_multinomials(self):
+        for b, k in itertools.product(range(13), range(1, 6)):
+            comps, below, mult, split = mallows._compositions(b, k)
+            want = [[hi - lo - 1 for lo, hi in zip((-1, *bars), (*bars, b + k - 1))]
+                    for bars in itertools.combinations(range(b + k - 1), k - 1)]
+            assert comps.tolist() == want, (b, k)
+            assert below.tolist() == [[sum(v[:t]) for t in range(k)] for v in want], (b, k)
+            assert mult.dtype == np.int64, (b, k)
+            assert mult.tolist() == [
+                math.factorial(b) // math.prod(map(math.factorial, v)) for v in want], (b, k)
+            assert split.tolist() == [
+                math.comb(b, 2) - sum(math.comb(t, 2) for t in v) for v in want], (b, k)
+
     def test_placed_states_are_every_composition_by_ascending_code(self):
         for m, k in itertools.product(range(11), range(1, 5)):
             states = mallows._placed_states(m, k)
@@ -416,24 +430,51 @@ class TestPartitionCache:
         cases = [
             ((1, 2, 2, 3), 3, s) for s in (0.4, 0.7, 1.0, 1.6, 2.5)
         ] + [((1, 1, 2), 4, s) for s in (0.3, 0.9, 2.0)]
-        results = [dict() for _ in range(8)]
+        # Every class of at most 7 items over 3 stages, as rows of one space,
+        # each thread adding them in its own order.
+        space = [class_key for r in range(1, 8) for class_key in classes_of(r, 3)]
+        results, rows = [dict() for _ in range(8)], [dict() for _ in range(8)]
 
         def log_psi(cache, center, l, spread):
             return cache.log_psi(len(center), l, structural_class(center), 0.5, spread)
 
         def worker(slot):
+            order = np.random.default_rng(slot).permutation(len(space))
             for case in cases:
                 results[slot][case] = log_psi(cache, *case)
+            for k in order.tolist():
+                rows[slot][space[k]] = cache.row(7, 3, space[k], 0.5)
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
+        # Switch threads often, so that writers race to add the same class.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         solo = {case: log_psi(PartitionCache(), *case) for case in cases}
         for got in results:
             assert got == solo
+        for class_key in space:
+            solo_row = PartitionCache().row(7, 3, class_key, 0.5)
+            for got in rows:
+                assert np.array_equal(got[class_key], solo_row), class_key
+        # Each class has exactly one row in the space's table.
+        table = cache.table(7, 3, 0.5)
+        assert table.count == len(space)
+        assert sorted(table.index[class_key] for class_key in space) == list(range(len(space)))
+
+    def test_rows_are_read_only_built_and_cached(self):
+        cache = PartitionCache()
+        for row in (cache.row(6, 3, (2, 3), 0.5), cache.row(6, 3, (2, 3), 0.5)):
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.0
 
     @pytest.mark.usefixtures("fresh_partition_cache")
     def test_cached_equals_recomputed(self, monkeypatch):
