@@ -21,6 +21,11 @@ of R timed passes over them (time.perf_counter), after one untimed pass:
 - ``evaluate_new_spread_us``: one spread move's, _Evaluator.evaluate at a
   spread other than the last two evaluated, which computes the log psi of
   every row of the space's table in the process's PartitionCache;
+- ``center_move_us`` and ``spread_move_us``: one move of a chain iteration
+  after its proposal, the function mcmc_fit runs (inference._center_move,
+  inference._spread_move at the default proposal scale) from the state at
+  the prior center: to each center, its statistics cached and the log psi
+  at the state's spread kept, and to a new spread each time;
 - ``draw_us`` and ``draw_rebuild_us``: one PartitionCache.draw of one
   ranking around a center, the call each chain iteration makes, at the
   spread of the last draw (its shares kept) and at a new spread each time
@@ -29,7 +34,8 @@ of R timed passes over them (time.perf_counter), after one untimed pass:
   dataset has respondents, as ``simulate`` draws them, at the spread of
   the last draw (its shares kept), per ranking drawn.
 
-Whole chain iterations are timed end to end by the benchmark
+An iteration is one draw, one center move, one spread proposal and one
+spread move. Whole chains are timed end to end by the benchmark
 (perfbench/run.py, ``iters_per_s``), not here. Prints one JSON object.
 """
 
@@ -46,7 +52,7 @@ from importlib import metadata
 import numpy as np
 
 from stagemallows import inference, mallows
-from stagemallows.inference import PriorConfig
+from stagemallows.inference import McmcConfig, PriorConfig
 from stagemallows.io import demo_dataset_path, read_dataset, read_ranking_file
 from stagemallows.mallows import MallowsParams
 from stagemallows.rankings import CentralRanking, DistanceConfig, StageDomain
@@ -110,10 +116,16 @@ def time_dataset(data, domain, prior_center, repeats: int) -> dict:
                           spreads, repeats)
     batch = per_call_us(lambda _: cache.draw(center, domain.l, cfg.p, SPREAD, rng, len(data)),
                         [None], repeats) / len(data)
+    state = inference._state_at(ev, center, SPREAD)
+    center_move = per_call_us(lambda c: inference._center_move(ev, state, c), centers, repeats)
+    scale = McmcConfig().lambda_proposal_scale
+    spread_move = per_call_us(lambda s: inference._spread_move(ev, state, s, scale),
+                              list(SPREAD + rng.random(len(centers))), repeats)
     return {
         "n": ev.n, "l": ev.l, "respondents": len(data), "centers": len(centers),
         "center_stats_miss_us": round(miss, 2), "center_stats_hit_us": round(hit, 2),
         "evaluate_us": round(evaluate, 2), "evaluate_new_spread_us": round(new_spread, 2),
+        "center_move_us": round(center_move, 2), "spread_move_us": round(spread_move, 2),
         "draw_us": round(draw, 2),
         "draw_rebuild_us": round(rebuild, 2), "draw_batch_us": round(batch, 3),
     }

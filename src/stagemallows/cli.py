@@ -183,7 +183,9 @@ _chain_options = _option_group(
     click.option("--iterations", type=int, default=1500, show_default=True),
     click.option("--burn-in", type=int, default=500, show_default=True),
     click.option("--thinning", type=int, default=1, show_default=True),
-    click.option("--proposal-scale", type=float, default=0.1, show_default=True),
+    click.option("--proposal-scale", type=float, default=0.1, show_default=True,
+                 help="Standard deviation of the spread's truncated-normal walk; 0 pins "
+                      "the spread."),
     click.option("--prior-spread", type=float, default=None,
                  help="Fix the center prior's spread (default: couple to lambda)."),
 )

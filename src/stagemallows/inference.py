@@ -18,11 +18,14 @@ data and to the prior center are one gather over the item pairs. Every
 normalizer is a row over the distance grid of n items in the space's one
 table of rows (mallows.RowTable), which the fit gathers from and does not
 copy; the log psi of all its rows is one log_psi_rows call per spread,
-kept for the last two spreads. The center move runs at a spread the
-previous iteration evaluated, so an iteration makes one such call, for its
-spread proposal. Each move gathers its proposed state's terms, the
-likelihood's, the prior's and the proposal ratio's, from that vector, and
-the chain carries those of its current state.
+kept for the last two spreads. The center move runs at the spread the
+previous spread move evaluated (accepted) or the one before it did
+(rejected), so an iteration makes one such call, for its spread proposal,
+and one more when its proposed center adds a row to the table (only that
+one with the spread pinned). Each move (_center_move, _spread_move)
+gathers its proposed state's terms, the likelihood's, the prior's and the
+proposal ratio's, from that vector, and the chain state (_State) carries
+those of its current point.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import logging
 import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,23 +66,19 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _log_std_normal_pdf(z: float) -> float:
-    return -0.5 * z * z - _LOG_SQRT_2PI
-
-
 def _log_std_normal_cdf(x: float) -> float:
     return math.log(0.5 * math.erfc(-x / _SQRT2))
 
 
-def log_truncated_normal(value: float, scale: float = 1.0) -> float:
-    """Log density of a normal(0, scale) restricted to (0, inf).
+def log_truncated_normal(value: float) -> float:
+    """Log density of a standard normal restricted to (0, inf).
 
     Truncating at the location doubles the half-line mass, hence the
     log 2 term. Nonpositive values score -inf rather than raising.
     """
     if value <= 0.0 or not math.isfinite(value):
         return -math.inf
-    return math.log(2.0) + _log_std_normal_pdf(value / scale) - math.log(scale)
+    return math.log(2.0) + (-0.5 * value * value - _LOG_SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -381,13 +380,74 @@ def log_posterior(
     return ll + lp
 
 
-def _propose_truncated_normal(
-    rng: np.random.Generator, loc: float, scale: float
-) -> float:
+def _propose_truncated_normal(rng: np.random.Generator, loc: float, scale: float) -> float:
     while True:
         value = rng.normal(loc, scale)
         if value > 0.0:
             return float(value)
+
+
+class _State(NamedTuple):
+    """The chain's current point, with the terms its moves reuse: the
+    center's statistics (_Evaluator.center_stats), the log posterior, and
+    the log psi of the center's own class at the spread."""
+
+    center: tuple[int, ...]
+    spread: float
+    stats: tuple
+    log_post: float
+    log_psi: float
+
+
+def _state_at(ev: _Evaluator, center: tuple, spread: float) -> _State:
+    """The chain state at (center, spread); InitializationError names the
+    term that is not finite there."""
+    stats = ev.center_stats(center)
+    ll, lp, log_psi = ev.evaluate(stats, spread)
+    for name, value in (("log-likelihood", ll), ("log-prior", lp)):
+        if not math.isfinite(value):
+            raise InitializationError(
+                f"initial {name} is not finite ({value}) at the starting state")
+    return _State(center, spread, stats, ll + lp, log_psi)
+
+
+def _center_move(ev: _Evaluator, state: _State, proposed: tuple) -> tuple[_State, float]:
+    """The state at a center drawn from Mallows(state.center, state.spread),
+    and its log acceptance ratio.
+
+    The proposal q(c' | c) = exp(-d(c', c) / spread) / psi(c) has a
+    symmetric numerator, so the ratio is log pi(c') - log pi(c) + log psi(c)
+    - log psi(c'): centers in different structural classes have different
+    normalizers.
+    """
+    stats = ev.center_stats(proposed)
+    ll, lp, log_psi = ev.evaluate(stats, state.spread)
+    log_post = ll + lp
+    new = _State(proposed, state.spread, stats, log_post, log_psi)
+    return new, (log_post - state.log_post) + (state.log_psi - log_psi)
+
+
+def _spread_move(ev: _Evaluator, state: _State, proposed: float, scale: float
+                 ) -> tuple[_State, float]:
+    """The state at a spread drawn from normal(state.spread, scale)
+    truncated to (0, inf), and its log acceptance ratio.
+
+    Each direction's proposal is renormalized by the mass its normal puts
+    on (0, inf), Phi(spread / scale), so the ratio is log pi(s') - log pi(s)
+    + log Phi(s / scale) - log Phi(s' / scale).
+    """
+    ll, lp, log_psi = ev.evaluate(state.stats, proposed)
+    log_post = ll + lp
+    new = _State(state.center, proposed, state.stats, log_post, log_psi)
+    return new, (log_post - state.log_post) + (
+        _log_std_normal_cdf(state.spread / scale) - _log_std_normal_cdf(proposed / scale))
+
+
+def _accept(rng: np.random.Generator, log_alpha: float) -> bool:
+    """Metropolis-Hastings: accept with probability min(1, exp(log_alpha)).
+    The uniform is drawn whatever log_alpha, one per move."""
+    u = rng.random()
+    return log_alpha >= 0.0 or u < math.exp(log_alpha)
 
 
 def mcmc_fit(
@@ -399,25 +459,14 @@ def mcmc_fit(
 ) -> FitResult:
     """Run the Metropolis-within-Gibbs chain and return the MAP sample.
 
-    Each iteration proposes a new center from a Mallows distribution
-    around the current one, drawn exactly through the stage-count program
-    (PartitionCache.draw), and accepts it with the Metropolis-Hastings
-    ratio, which includes the ratio of the two proposal normalizers because
-    centers in different structural classes have different partition
-    functions. Then it proposes a new spread from a truncated normal
-    random walk (with the matching truncation correction). A proposal
-    scale of zero disables the spread move, pinning the spread at its
-    initial value. The retained samples count as draws for check_capacity,
-    which refuses a chain whose trace would not fit before it starts.
-
-    Each move evaluates its proposed state once (_Evaluator.evaluate), and
-    the chain carries the current state's log posterior and the log psi of
-    its center's class at its spread, which the center move's ratio needs.
-    The center move runs at the spread the previous spread move evaluated
-    (accepted) or the one before it did (rejected), both kept, so an
-    iteration makes one log_psi_rows call, for its spread proposal, and one
-    more when its proposed center adds a row (only the latter with the
-    spread pinned).
+    Each iteration draws a new center from a Mallows distribution around
+    the current one, exactly, through the stage-count program
+    (PartitionCache.draw), and accepts it by _center_move's ratio. Then it
+    draws a new spread from a truncated-normal random walk and accepts it
+    by _spread_move's ratio. A proposal scale of zero disables the spread
+    move, pinning the spread at its initial value. The retained samples
+    count as draws for check_capacity, which refuses a chain whose trace
+    would not fit before it starts.
     """
     ev = _Evaluator(data, domain, prior, cfg)
     check_capacity(ev.n, ev.l, draws=mcmc.retained)
@@ -428,74 +477,42 @@ def mcmc_fit(
         raise ValueError(f"start center has {start.n} items, data has {ev.n}")
     start.check_domain(domain)
 
-    center = start.stages
-    spread = mcmc.lambda_init
-    stats = ev.center_stats(center)
-    ll, lp, log_psi = ev.evaluate(stats, spread)
-    if not math.isfinite(ll):
-        raise InitializationError(
-            f"initial log-likelihood is not finite ({ll}) at the starting state"
-        )
-    if not math.isfinite(lp):
-        raise InitializationError(
-            f"initial log-prior is not finite ({lp}) at the starting state"
-        )
-    log_post = ll + lp
+    state = _state_at(ev, start.stages, mcmc.lambda_init)
 
-    retained = mcmc.retained
-    out_iters = np.empty(retained, dtype=np.int64)
-    out_centers = np.empty((retained, ev.n), dtype=np.int32)
-    out_spreads = np.empty(retained, dtype=np.float64)
-    out_log_posts = np.empty(retained, dtype=np.float64)
+    out_iters = np.arange(mcmc.burn_in + 1, mcmc.iterations + 1, mcmc.thinning, dtype=np.int64)
+    out_centers = np.empty((mcmc.retained, ev.n), dtype=np.int32)
+    out_spreads = np.empty(mcmc.retained, dtype=np.float64)
+    out_log_posts = np.empty(mcmc.retained, dtype=np.float64)
 
-    accept_center = 0
-    accept_spread = 0
+    accept_center = accept_spread = 0
     scale = mcmc.lambda_proposal_scale
     write = 0
 
     for t in range(1, mcmc.iterations + 1):
-        # Center move: draw from Mallows(center, spread), exact.
-        (proposed,) = default_cache().draw(center, ev.l, cfg.p, spread, rng, 1)
-        stats_new = ev.center_stats(proposed)
-        ll, lp, log_psi_new = ev.evaluate(stats_new, spread)
-        log_post_new = ll + lp
-        log_alpha = (log_post_new - log_post) + (log_psi - log_psi_new)
-        u = rng.random()
-        if log_alpha >= 0.0 or u < math.exp(log_alpha):
-            center, stats, log_post, log_psi = proposed, stats_new, log_post_new, log_psi_new
+        (proposed,) = default_cache().draw(state.center, ev.l, cfg.p, state.spread, rng, 1)
+        new, log_alpha = _center_move(ev, state, proposed)
+        if _accept(rng, log_alpha):
+            state = new
             accept_center += 1
-
-        # Spread move: truncated normal random walk.
         if scale > 0.0:
-            proposed_spread = _propose_truncated_normal(rng, spread, scale)
-            ll, lp, log_psi_new = ev.evaluate(stats, proposed_spread)
-            log_post_new = ll + lp
-            log_alpha = (log_post_new - log_post) + (
-                _log_std_normal_cdf(spread / scale)
-                - _log_std_normal_cdf(proposed_spread / scale)
-            )
-            u = rng.random()
-            if log_alpha >= 0.0 or u < math.exp(log_alpha):
-                spread, log_post, log_psi = proposed_spread, log_post_new, log_psi_new
+            spread = _propose_truncated_normal(rng, state.spread, scale)
+            new, log_alpha = _spread_move(ev, state, spread, scale)
+            if _accept(rng, log_alpha):
+                state = new
                 accept_spread += 1
 
         if t > mcmc.burn_in and (t - mcmc.burn_in - 1) % mcmc.thinning == 0:
-            out_iters[write] = t
-            out_centers[write] = center
-            out_spreads[write] = spread
-            out_log_posts[write] = log_post
+            out_centers[write] = state.center
+            out_spreads[write] = state.spread
+            out_log_posts[write] = state.log_post
             write += 1
 
     rate_center = accept_center / mcmc.iterations
-    rate_spread = accept_spread / mcmc.iterations if scale > 0.0 else 0.0
+    rate_spread = accept_spread / mcmc.iterations
     # One stage leaves one center to accept, and a zero scale pins the spread.
     if (ev.l > 1 and rate_center in (0.0, 1.0)) or (scale > 0.0 and rate_spread in (0.0, 1.0)):
-        logger.warning(
-            "degenerate acceptance rates (center=%.3f, spread=%.3f); "
-            "the chain is unlikely to have mixed",
-            rate_center,
-            rate_spread,
-        )
+        logger.warning("degenerate acceptance rates (center=%.3f, spread=%.3f); "
+                       "the chain is unlikely to have mixed", rate_center, rate_spread)
 
     trace = McmcTrace(
         n=ev.n,

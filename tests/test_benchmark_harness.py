@@ -9,7 +9,8 @@ the names the tracer patches or the harness's own checks. time_rows.py
 clears the stage-count caches and the row key lookups (mallows._key_lookup)
 by name, so that each pass builds its rows cold, and time_chain.py and
 time_io.py time the chain's private evaluator, which reads the rows from
-the process's PartitionCache; they break the same way.
+the process's PartitionCache, and time_chain.py its private move functions;
+they break the same way.
 """
 
 import json
@@ -62,7 +63,7 @@ def test_chain_harness_times_every_layer():
     datasets = _run_script("time_chain.py")["datasets"]
     assert sorted(datasets) == ["large", "survey", "wide"]
     for figures in datasets.values():
-        assert "evaluate_new_spread_us" in figures, figures
+        assert {"evaluate_new_spread_us", "center_move_us", "spread_move_us"} <= set(figures)
         assert all(figures[key] > 0 for key in figures if key.endswith("_us")), figures
 
 

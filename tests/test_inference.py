@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from oracles import (
     log_trunc_normal,
     naive_log_likelihood_restricted,
     naive_log_posterior,
+    naive_pmf,
 )
 
 
@@ -537,6 +540,61 @@ class TestChainTargetsExactPosterior:
         assert tv < 0.02
 
 
+class TestMovesAreExact:
+    """Each move's kernel, built from the move function the chain runs,
+    against the enumerated posterior of tests/oracles.py."""
+
+    @pytest.mark.parametrize("n, l", [(3, 2), (3, 3), (4, 3)])
+    def test_center_move_leaves_the_posterior_invariant(self, n, l):
+        # P[c, c'] = q(c' | c) min(1, alpha(c -> c')) off the diagonal, from
+        # the oracle's exact Mallows pmf around c and _center_move's ratio;
+        # the diagonal takes the rest. pi P = pi must hold to rounding.
+        spread = 0.8
+        data, truth = _synthetic(n, l, 1.0, 8, seed=10 * n + l, missing=30.0)
+        ev = inference._Evaluator(data, truth.domain, PriorConfig(center=truth.center),
+                                  DistanceConfig())
+        raw = [tuple(r.stages) for r in data]
+        centers = full_space(n, l)
+        log_pi = np.array([naive_log_posterior(raw, c, l, spread, truth.center.stages)
+                           for c in centers])
+        pi = np.exp(log_pi - log_pi.max())
+        pi /= pi.sum()
+        index = {c: k for k, c in enumerate(centers)}
+        P = np.zeros((len(centers), len(centers)))
+        for c in centers:
+            state = inference._state_at(ev, c, spread)
+            for proposed, q in naive_pmf(c, l, spread).items():
+                if proposed != c:
+                    _, log_alpha = inference._center_move(ev, state, proposed)
+                    P[index[c], index[proposed]] = q * math.exp(min(0.0, log_alpha))
+            P[index[c], index[c]] = 1.0 - P[index[c]].sum()
+        assert np.abs(pi @ P - pi).max() < 1e-12
+
+    def test_spread_move_is_in_detailed_balance(self):
+        # log pi(s) + log q(s' | s) + min(0, log alpha(s -> s')) is the log
+        # flow from s to s'; it must equal the flow back. q is the normal
+        # around s renormalized to (0, inf), written here independently.
+        scale = 0.3
+        data, truth = _synthetic(4, 3, 1.0, 10, seed=41, missing=30.0)
+        ev = inference._Evaluator(data, truth.domain, PriorConfig(center=truth.center),
+                                  DistanceConfig())
+        raw = [tuple(r.stages) for r in data]
+        center = (1, 2, 3, 3)
+
+        def log_q(to, at):
+            walk = NormalDist(at, scale)
+            return math.log(walk.pdf(to) / (1.0 - walk.cdf(0.0)))
+
+        def log_flow(at, to):
+            state = inference._state_at(ev, center, at)
+            _, log_alpha = inference._spread_move(ev, state, to, scale)
+            return (naive_log_posterior(raw, center, 3, at, truth.center.stages)
+                    + log_q(to, at) + min(0.0, log_alpha))
+
+        for s, s_new in itertools.permutations([0.05, 0.2, 0.45, 0.8, 1.3, 2.1], 2):
+            assert log_flow(s, s_new) == pytest.approx(log_flow(s_new, s), abs=1e-9)
+
+
 class TestMapMatchesBruteForce:
     def test_tiny_instance_joint_mode(self):
         # Exhaustive maximization over all 8 centers and a spread grid
@@ -653,3 +711,13 @@ class TestInitializationFailure:
         with pytest.raises(InitializationError) as err:
             mcmc_fit(data, truth.domain, prior, bad)
         assert "log-likelihood" in str(err.value)
+
+    def test_error_names_the_prior(self):
+        # At a spread of 1e200 the likelihood is finite (every normalizer is
+        # its space's size) and the truncated-normal prior underflows.
+        data, truth = _synthetic(3, 2, 1.0, 5, seed=1)
+        prior = PriorConfig(center=truth.center)
+        bad = McmcConfig(iterations=10, burn_in=5, seed=0, lambda_init=1e200)
+        with pytest.raises(InitializationError, match=(
+                r"^initial log-prior is not finite \(-inf\) at the starting state$")):
+            mcmc_fit(data, truth.domain, prior, bad)
