@@ -13,7 +13,12 @@ are drawn first, and each figure, in microseconds per call, is the median
 of R timed passes over them (time.perf_counter), after one untimed pass:
 
 - ``center_stats_miss_us``: _Evaluator.center_stats of a center not met
-  before (its stats cache emptied at the start of the pass);
+  before (its stats cache emptied at the start of the pass), with its
+  groups' codes and its buckets (center_buckets) kept from the pass before;
+- ``center_stats_first_us``: the same, with the evaluator's index from group
+  codes to rows and the center_buckets cache emptied too at the start of the
+  pass, the rows kept: what a fit's new centers pay, each code's first
+  meeting included;
 - ``center_stats_hit_us``: the same centers again, all found in the cache;
 - ``evaluate_us``: one center move's partition terms, _Evaluator.evaluate
   of a center's stats at the spread of the previous call, gathered from the
@@ -102,7 +107,13 @@ def time_dataset(data, domain, prior_center, repeats: int) -> dict:
     def empty_stats_cache():
         ev._center_stats = OrderedDict()
 
+    def empty_stats_and_codes():
+        empty_stats_cache()
+        ev._code_rows = {}
+        mallows.center_buckets.cache_clear()
+
     miss = per_call_us(ev.center_stats, centers, repeats, before=empty_stats_cache)
+    first = per_call_us(ev.center_stats, centers, repeats, before=empty_stats_and_codes)
     hit = per_call_us(ev.center_stats, centers, repeats)
     stats = [ev.center_stats(center) for center in centers]
     evaluate = per_call_us(lambda s: ev.evaluate(s, SPREAD), stats, repeats)
@@ -123,7 +134,8 @@ def time_dataset(data, domain, prior_center, repeats: int) -> dict:
                               list(SPREAD + rng.random(len(centers))), repeats)
     return {
         "n": ev.n, "l": ev.l, "respondents": len(data), "centers": len(centers),
-        "center_stats_miss_us": round(miss, 2), "center_stats_hit_us": round(hit, 2),
+        "center_stats_miss_us": round(miss, 2), "center_stats_first_us": round(first, 2),
+        "center_stats_hit_us": round(hit, 2),
         "evaluate_us": round(evaluate, 2), "evaluate_new_spread_us": round(new_spread, 2),
         "center_move_us": round(center_move, 2), "spread_move_us": round(spread_move, 2),
         "draw_us": round(draw, 2),

@@ -8,9 +8,9 @@ For every structural class of n <= 10 items over l = 4 stages and of n <= 6
 items over l = 3, at p = 0.5 and p = 0.731, and of exactly 16 items over
 l = 4 at p = 0.5, builds the class's row over distance_grid(n, p), in turn
 and with one PartitionCache, as a fit meets them: the cached stage-count
-steps, their key terms, state lists, compositions and key lookups are
-cleared once at the start of a pass, so a class reuses the steps that
-earlier classes built. Each build is timed in two parts with
+steps, their key terms, state lists, compositions, Pascal table and key
+lookups are cleared once at the start of a pass, so a class reuses the
+steps that earlier classes built. Each build is timed in two parts with
 time.perf_counter: ``steps_s`` builds the class's program
 (mallows._stage_steps, which builds only the steps not met before), and
 ``row_s`` is PartitionCache.row on top of it. A space's figure is the sum
@@ -52,7 +52,8 @@ def classes(n_min: int, n_max: int, l: int) -> list[tuple[int, tuple[int, ...]]]
 def one_pass(space: list[tuple[int, tuple[int, ...]]], l: int, p: float) -> tuple[float, float]:
     """Seconds spent building the programs and the rows of every class."""
     for cached in (mallows._stage_step, mallows._step_keys, mallows._step_weights,
-                   mallows._placed_states, mallows._compositions, mallows._key_lookup):
+                   mallows._placed_states, mallows._compositions, mallows._pascal,
+                   mallows._key_lookup):
         cached.cache_clear()
     cache = mallows.PartitionCache()
     steps_s = row_s = 0.0

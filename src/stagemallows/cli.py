@@ -354,6 +354,9 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
             proposal_scale, prior_spread, init_center,
             min_response_rate, p, seed, out_dir):
     """Fit the model to a dataset and write report, trace, and heatmap."""
+    if not 0.0 <= min_response_rate <= 1.0:
+        raise click.UsageError(
+            f"--min-response-rate must lie in [0, 1], got {min_response_rate}")
     cfg = DistanceConfig(p=p)
     ds = read_dataset(data)
     if min_response_rate > 0.0:

@@ -192,13 +192,14 @@ class _Evaluator:
     array with a respondent axis. The prior center's own tallies sit beside
     them. A center's statistics are its summed dropped-pair distance to the
     data and its distance to the prior center, from one gather over the
-    tallies, and the indices of its rows in the space's RowTable, one dict
-    lookup each: each group's restricted class, then the prior center's
-    class, then its own. The log psi of all the table's rows at a spread is
-    one log_psi_rows call, kept for the last two spreads and rebuilt when
-    the table has grown since (_log_psi_at); a center's partition terms are
-    a gather from it (evaluate). The statistics do not depend on the spread
-    and are kept for the last _CENTER_STATS_MAX centers met.
+    tallies, and the indices of its rows in the space's RowTable: each
+    group's restricted class, then the prior center's class, then its own,
+    found by one integer code each (see center_stats). The log psi of all
+    the table's rows at a spread is one log_psi_rows call, kept for the
+    last two spreads and rebuilt when the table has grown since
+    (_log_psi_at); a center's partition terms are a gather from it
+    (evaluate). The statistics do not depend on the spread and are kept for
+    the last _CENTER_STATS_MAX centers met.
     """
 
     _CENTER_STATS_MAX = 4096
@@ -247,10 +248,15 @@ class _Evaluator:
 
         # Respondents sharing an observed-item set share their restricted
         # partition class, so group them once: one 0/1 row of items each,
-        # in order of first appearance.
+        # in order of first appearance, then a row of every item, for the
+        # center's own class. center_stats codes each row's bucket sizes in
+        # base n + 1, one digit per bucket a center can have (min(n, l)),
+        # below 2^30 in every space check_capacity accepts.
         groups = Counter(map(tuple, mask.tolist()))
-        self._group_items = np.array(list(groups), dtype=np.int64)
+        self._group_items = np.array([*groups, (1,) * n], dtype=np.int64)
         self._group_counts = np.array(list(groups.values()), dtype=np.float64)
+        self._radix = (n + 1) ** np.arange(min(n, self.l), dtype=np.int64)
+        self._code_rows: dict[int, int] = {}
 
         self.grid = distance_grid(n, cfg.p)
         self._table = default_cache().table(n, self.l, cfg.p)
@@ -267,25 +273,38 @@ class _Evaluator:
     def center_stats(self, center: tuple[int, ...]) -> tuple:
         """(summed data distance, row indices, distance to the prior center);
         the rows are each group's, then the prior center's, then the
-        center's own."""
+        center's own.
+
+        A center met for the first time costs a few array operations: its
+        pair signs (ranking_pair_signs) and one gather over the tallies give
+        both distances, and one matrix-vector product gives every group's
+        restricted class, and its own, as one integer code, the bucket sizes
+        in base n + 1. Codes are looked up in one dict of the evaluator's; a
+        code met for the first time is decoded to its sizes and looked up, or
+        its row built, by RowTable.find."""
         stats = self._center_stats.get(center)
         if stats is not None:
             self._center_stats.move_to_end(center)
             return stats
         signs = ranking_pair_signs(np.asarray(center, dtype=np.int32))
         discordant, tied_one, prior_discordant, prior_tied = (
-            self._tallies[:, self._pair_base + signs].sum(axis=1))
+            self._tallies.take(self._pair_base + signs, axis=1).sum(axis=1).tolist())
         total_d = float(discordant + self.cfg.p * tied_one)
-        prior_d = int(prior_discordant) + self.cfg.p * int(prior_tied)
+        prior_d = prior_discordant + self.cfg.p * prior_tied
 
-        # How many of each group's observed items sit in each of the center's
-        # buckets: the bucket sizes of its restriction, in order or reversed.
+        # How many of a row's items sit in each of the center's buckets, in
+        # the class key's order, as one code: digit t, in base n + 1, counts
+        # bucket t. Those are the bucket sizes of the restriction, in order
+        # or reversed; the last row's are the class key itself.
         class_key, _, bucket = center_buckets(center)
-        sizes = self._group_items @ (bucket[:, np.newaxis] == np.arange(len(class_key)))
-        groups = [*map(tuple, sizes.tolist()), class_key]
-        rows = list(map(self._table.index.get, groups))
+        codes = (self._group_items @ self._radix[bucket]).tolist()
+        rows = list(map(self._code_rows.get, codes))
         if None in rows:
-            rows = list(map(self._table.find, groups))
+            base = self.n + 1
+            for g, code in enumerate(codes):
+                if rows[g] is None:
+                    sizes = tuple(code // base**t % base for t in range(len(class_key)))
+                    rows[g] = self._code_rows[code] = self._table.find(sizes)
         rows.insert(-1, self._prior_row)
         stats = (total_d, np.array(rows), prior_d)
         self._center_stats[center] = stats

@@ -132,24 +132,35 @@ def structural_class(center: CentralRanking | Sequence[int]) -> tuple[int, ...]:
     return center_buckets(tuple(stages))[0]
 
 
+@lru_cache(maxsize=None)
+def _pascal(size: int) -> np.ndarray:
+    """C(i, j) for 0 <= j <= i < size, in int64, exact up to row 66; later
+    rows wrap, but only at l = 1, past the 63 items check_capacity accepts at
+    l >= 2, and there only their diagonal, all ones, is read. _compositions
+    asks for powers of two of at least 16, so a process keeps one table
+    unless a bucket reaches 16 items."""
+    pascal = np.tri(size, dtype=np.int64)  # its first row and column are Pascal's
+    for i in range(1, size):
+        pascal[i, 1:] = pascal[i - 1, 1:] + pascal[i - 1, :-1]
+    pascal.setflags(write=False)
+    return pascal
+
+
 @lru_cache(maxsize=256)
 def _compositions(b: int, l: int) -> tuple[np.ndarray, ...]:
     """Every way v to spread b items over l stages, one per row in the
     lexicographic order of its l - 1 bars among b + l - 1 slots, with
     below[:, t] = sum_{t' < t} v_t', the multinomial(b; v), and the number
     of the b items' pairs that v splits apart, C(b,2) - sum_t C(v_t,2).
-    Each multinomial is a product of binomials C(below_t + v_t, v_t) from a
-    Pascal table, exact in int64: each partial product is at most l^b, and
-    at l = 1, where a large b overflows the table, only its diagonal is read."""
+    Each multinomial is a product of binomials C(below_t + v_t, v_t) from
+    the Pascal table (_pascal), exact in int64: each partial product is at
+    most l^b."""
     bars = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(b + l - 1), l - 1)), np.int64)
     comps = np.diff(bars.reshape(math.comb(b + l - 1, l - 1), l - 1), axis=1,
                     prepend=-1, append=b + l - 1) - 1
     upto = np.cumsum(comps, axis=1)
-    # np.tri's first row and column are already Pascal's.
-    pascal = np.tri(b + 1, dtype=np.int64)
-    for i in range(1, b + 1):
-        pascal[i, 1:] = pascal[i - 1, 1:] + pascal[i - 1, :-1]
+    pascal = _pascal(1 << max(4, b.bit_length()))
     below, mult = upto - comps, pascal[upto, comps].prod(axis=1)
     split = math.comb(b, 2) - (comps * (comps - 1) // 2).sum(axis=1)
     for array in (comps, below, mult, split):
@@ -197,11 +208,13 @@ def _stage_step(m: int, b: int, k: int) -> _Step:
     """
     states, reached = _placed_states(m, k), _placed_states(m + b, k)
     comps, below, mult, split = _compositions(b, k)
+    # The destinations are searched one composition at a time, the states'
+    # codes ascending, which searchsorted finds faster, and then transposed.
     radix = (m + b + 1) ** np.arange(k, dtype=np.int64)
-    dest = (reached @ radix).searchsorted((states @ radix)[:, np.newaxis] + comps @ radix)
+    dest = (reached @ radix).searchsorted((comps @ radix)[:, np.newaxis] + states @ radix)
     placed = np.repeat(np.tile(np.arange(k, dtype=np.int8), len(comps)), comps.ravel())
-    step = _Step(mult, dest, states @ below.T, states @ comps.T + split,
-                 placed.reshape(len(comps), b), len(reached))
+    step = _Step(mult, np.ascontiguousarray(dest.T), states @ below.T,
+                 states @ comps.T + split, placed.reshape(len(comps), b), len(reached))
     for array in (step.dest, step.discordant, step.tied, step.stages):
         array.setflags(write=False)
     return step
@@ -274,13 +287,17 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
     Runs the stage-count program (see _stage_steps), with table[u, key]
     counting the ways to reach state u with that key among the items
     placed: one row of keys per state, not a (d, e) plane. A step's key
-    shifts, and W below, are kept with it (_step_keys, _step_weights). Most
-    cells are zero, so each step moves only the nonzero ones, in blocks of
-    as many compositions as keep the index and weight temporaries within
-    the size of the grown table: one weighted np.bincount per block sums
-    the edges that meet. A step that needs more than one block adds each
-    composition in place instead, which is exact because one composition
-    moves distinct cells to distinct cells.
+    shifts, and W below, are kept with it (_step_keys, _step_weights). The
+    program starts from the first bucket's own table, its initial condition:
+    from the empty state each composition c lands on a state of its own,
+    dest[0, c], at key shift[0, c], in mult[c] ways, one assignment for all
+    of them, and a class of one bucket is that table summed over its states.
+    Later tables have mostly zero cells, so each step moves only the nonzero
+    ones, in blocks of as many compositions as keep the index and weight
+    temporaries within the size of the grown table: one weighted np.bincount
+    per block sums the edges that meet. A step that needs more than one
+    block adds each composition in place instead, which is exact because
+    one composition moves distinct cells to distinct cells.
 
     The final table is summed over its states, so when l <= n the last
     bucket lands straight on the key axis. On the lattice key it does so
@@ -306,8 +323,11 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
     k = min(l, n)
     steps, final_states = _stage_steps(class_key, k)
     pair_key = (alpha, beta) == (n * (n - 1) // 2 + 1, 1)
-    table, placed = np.ones((1, 1)), 0
-    for b, step in zip(class_key, steps):
+    first, placed = steps[0], class_key[0]
+    shift, top = _step_keys(0, placed, k, alpha, beta)
+    table = np.zeros((first.states, top + 1))
+    table[first.dest[0], shift[0]] = first.mult
+    for b, step in zip(class_key[1:], steps[1:]):
         m, placed = placed, placed + b
         shift, top = _step_keys(m, b, k, alpha, beta)
         last = placed == n and l <= n
@@ -321,13 +341,15 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
             np.matmul(_step_weights(m, b, k, alpha, beta).T, table, out=skew[:, :keys])
             table = skew.ravel()[:span * width].reshape(span, width).sum(axis=0)
         else:
-            state, key = np.nonzero(table)
-            count = table[state, key]
+            cells = np.flatnonzero(table)
+            state, key = np.divmod(cells, keys)
+            count = table.take(cells)
             block = max(1, step.states * width // (2 * len(count)))
             index, size = (shift, width) if last else (step.dest * width + shift,
                                                         step.states * width)
             if last or block >= len(step.mult):
-                parts = (np.bincount((index[state, c:c + block] + key[:, np.newaxis]).ravel(),
+                parts = (np.bincount((index[:, c:c + block].take(state, axis=0)
+                                      + key[:, np.newaxis]).ravel(),
                                      (count[:, np.newaxis] * step.mult[c:c + block]).ravel(), size)
                          for c in range(0, len(step.mult), block))
                 table = next(parts)
@@ -336,7 +358,7 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
             else:
                 table = np.zeros(size)
                 for c, mult in enumerate(step.mult):
-                    table[index[state, c] + key] += count * mult
+                    table[index[:, c].take(state) + key] += count * mult
         table = table.reshape(-1, width)
     table = table.astype(np.int64)
     if l > n:
@@ -364,13 +386,6 @@ def center_buckets(center: tuple[int, ...]) -> tuple[tuple[int, ...], bool, np.n
     return class_key, flip, bucket
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending."""
-    # Deduplicated by hand: a bare np.unique imports numpy.ma, about 1 MB.
-    values = np.sort(values)
-    return values[np.append(True, values[1:] != values[:-1])]
-
-
 def _pair_triangle(pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """Every (discordant, tied-one) count pair d, e >= 0 with d + e <= pairs."""
     span = np.arange(pairs + 1)
@@ -383,7 +398,9 @@ def distance_grid(n: int, p: float) -> np.ndarray:
     ascending from 0: every d_p between two rankings of at most n items.
     With p = 1/2 there are 2 C(n, 2) + 1 of them (57 at n = 8)."""
     d, e = _pair_triangle(n * (n - 1) // 2)
-    grid = _distinct(d + p * e)
+    # Deduplicated by hand: a bare np.unique imports numpy.ma, about 1 MB.
+    grid = np.sort(d + p * e)
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
     grid.setflags(write=False)
     return grid
 
@@ -464,8 +481,9 @@ class RowTable:
             check_capacity(sum(class_key), self.l)
             alpha, beta, lookup = _key_lookup(sum(class_key), self.n, self.p)
             counts = _stage_count_table(class_key, self.l, alpha, beta)
-            keys = np.flatnonzero(counts)
-            row = np.bincount(lookup[keys], weights=counts[keys], minlength=self.matrix.shape[1])
+            # Each key no (d, e) makes has count 0, and lookup sends it to 0.
+            row = np.bincount(lookup[:len(counts)], weights=counts,
+                              minlength=self.matrix.shape[1])
             with self._lock:
                 if class_key not in self.index:
                     if self.count == len(self.matrix):
@@ -487,8 +505,8 @@ class PartitionCache:
     the l^n points. Each space (n, l, p) keeps its rows in one RowTable
     (table), the only store of rows: row and log_psi read it, a fit gathers
     from it, and nothing is cached per spread. The exact sampler runs the
-    program backward and samples forward through it; its edges' distinct
-    distances and multiplicities, and the shares of the last spread drawn
+    program backward and samples forward through it; its edges' grid
+    indices and multiplicities, and the shares of the last spread drawn
     at with the running shares of the states one draw visited, are cached
     per (l, p, class). Safe for concurrent use; racing writers recompute
     identical values. The process keeps one instance (default_cache), like
@@ -520,13 +538,14 @@ class PartitionCache:
         total underflows to 0 is never entered, since the share leading
         into it is 0.
 
-        The class's edges take few distinct distances, so each edge keeps
-        its index into them and its multiplicity, and a new spread takes one
-        exp per distinct distance. The shares of the last spread are kept per
-        (l, p, class) with those terms, in one entry replaced whole under the
-        lock, so that a reader never pairs one spread with another's shares:
-        the chain draws again at the same spread and class after each
-        rejected move. The walks, one dict per bucket that one draw fills
+        Each edge keeps its multiplicity and the index of its distance in
+        the distance grid of n items, read off its step's key shift
+        (_step_keys, _key_lookup, as the rows key them), so a new spread
+        takes one exp per grid distance. The shares of the last spread are
+        kept per (l, p, class) with those terms, in one entry replaced whole
+        under the lock, so that a reader never pairs one spread with
+        another's shares: the chain draws again at the same spread and
+        class after each rejected move. The walks, one dict per bucket that one draw fills
         with each state it visits (see draw), start empty with each spread's
         shares in that entry, so they too never outlive their spread.
         """
@@ -535,23 +554,25 @@ class PartitionCache:
             entry = self._draw_terms.get(key)
         if entry is None:
             check_capacity(n, l)
-            steps, final_states = _stage_steps(class_key, min(l, n))
+            k = min(l, n)
+            steps, final_states = _stage_steps(class_key, k)
             finish = None
             if l > n:
                 ratio = np.array([math.comb(l, j) / math.comb(n, j) for j in range(n + 1)])
                 finish = ratio[np.count_nonzero(final_states, axis=1)]
-            dist = np.concatenate([(step.discordant + p * step.tied).T.ravel() for step in steps])
-            distinct = _distinct(dist)
+            alpha, beta, lookup = _key_lookup(n, n, p)
+            shifts = [_step_keys(m, b, k, alpha, beta)[0].T.ravel()
+                      for m, b in zip(itertools.accumulate(class_key, initial=0), class_key)]
             mult = np.concatenate([np.repeat(step.mult.astype(np.float64), step.dest.shape[0])
                                    for step in steps])
             into = [np.ascontiguousarray(step.dest.T) for step in steps]
-            terms = (distinct, distinct.searchsorted(dist), mult, finish, into,
+            terms = (distance_grid(n, p), lookup[np.concatenate(shifts)], mult, finish, into,
                      [step.stages.tolist() for step in steps])
             entry = (steps, final_states, terms, None, None, None)
         steps, final_states, terms, last_spread, shares, walks = entry
-        distinct, index, mult, finish, into, stage_lists = terms
+        grid, index, mult, finish, into, stage_lists = terms
         if last_spread != spread:
-            edge_w = mult * np.exp(distinct / -spread)[index]
+            edge_w = mult * np.exp(grid / -spread)[index]
             shares, ahead, end = [], finish, len(edge_w)
             for dest in reversed(into):
                 start = end - dest.size

@@ -217,7 +217,7 @@ def ranking_pair_signs(stages: np.ndarray) -> np.ndarray:
     """sign(stages[i] - stages[j]) as int8 for every pair i < j, along the
     last axis: how each pair is ordered."""
     i, j = pair_indices(stages.shape[-1])
-    a, b = stages[..., i], stages[..., j]
+    a, b = stages.take(i, axis=-1), stages.take(j, axis=-1)
     return (a > b).view(np.int8) - (a < b).view(np.int8)
 
 

@@ -1,16 +1,19 @@
 """Smoke tests of the benchmark harness in perfbench/, of the layer
 harnesses scripts/time_rows.py, scripts/time_chain.py and scripts/time_io.py,
-and of scripts/output_digests.py, run as a user runs them.
+and of scripts/output_digests.py and scripts/time_fits.py, run as a user runs
+them.
 
 The traced run wraps PartitionCache.log_psi and PartitionCache.histogram by
 name and checks that the layers' self times add up to the traced wall
 time within 5%, so this test fails when a refactor of the package breaks
 the names the tracer patches or the harness's own checks. time_rows.py
-clears the stage-count caches and the row key lookups (mallows._key_lookup)
-by name, so that each pass builds its rows cold, and time_chain.py and
-time_io.py time the chain's private evaluator, which reads the rows from
-the process's PartitionCache, and time_chain.py its private move functions;
-they break the same way.
+clears the stage-count caches, the Pascal table (mallows._pascal) and the
+row key lookups (mallows._key_lookup) by name, so that each pass builds
+its rows cold, and time_chain.py and time_io.py time the chain's private
+evaluator, which reads the rows from the process's PartitionCache, and
+time_chain.py its private move functions and empties its group-code index
+(_Evaluator._code_rows); they break the same way. time_fits.py imports
+perfbench/run.py's workloads and runs fits through perfbench/child.py.
 """
 
 import json
@@ -63,7 +66,8 @@ def test_chain_harness_times_every_layer():
     datasets = _run_script("time_chain.py")["datasets"]
     assert sorted(datasets) == ["large", "survey", "wide"]
     for figures in datasets.values():
-        assert {"evaluate_new_spread_us", "center_move_us", "spread_move_us"} <= set(figures)
+        assert {"center_stats_first_us", "evaluate_new_spread_us", "center_move_us",
+                "spread_move_us"} <= set(figures)
         assert all(figures[key] > 0 for key in figures if key.endswith("_us")), figures
 
 
@@ -80,3 +84,17 @@ def test_output_digests_list_every_file_of_the_workload():
                                         "truth.json")]
     assert sorted(digests) == sorted([*data, "truth_center.json", *fits])
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest in digests.values())
+
+
+def test_side_by_side_fits_of_one_tree_agree():
+    result = subprocess.run(
+        [sys.executable, "scripts/time_fits.py", "--base", ".", "--head", ".",
+         "--workload", "large", "--pairs", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    figures = json.loads(result.stdout)
+    assert figures["pairs"] == 1 and figures["outputs_agree"] == [True]
+    assert all(len(ms) == 1 and ms[0] > 0 for ms in figures["chain_ms"].values()), figures
+    assert figures["ratio"]["q1"] <= figures["ratio"]["median"] <= figures["ratio"]["q3"]
+    assert figures["head_won"] in (0, 1)

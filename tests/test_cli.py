@@ -436,6 +436,8 @@ _INVALID_FILES = {
     "args",
     [
         _FIT + ["--min-response-rate", "2"],
+        _FIT + ["--min-response-rate", "-0.5"],
+        _FIT + ["--min-response-rate", "nan"],
         ["simulate", "--n", "3", "--l", "3", "--lambda", "1", "--M", "5",
          "--center", "1,2,9"],
         ["simulate", "--n", "0", "--l", "3", "--lambda", "1", "--M", "5",
@@ -461,6 +463,8 @@ _INVALID_FILES = {
     ],
     ids=[
         "min-response-rate-above-one",
+        "negative-min-response-rate",
+        "nan-min-response-rate",
         "center-outside-stages",
         "zero-items",
         "negative-items",

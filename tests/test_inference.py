@@ -1,12 +1,15 @@
 import hashlib
 import itertools
+import json
 import math
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from stagemallows import inference, mallows
+from stagemallows.cli import cli
 from stagemallows.errors import InitializationError
 from stagemallows.inference import (
     McmcConfig,
@@ -23,6 +26,9 @@ from stagemallows.io import demo_dataset_path, read_dataset, read_ranking_file
 from stagemallows.mallows import (
     MallowsParams,
     PartitionCache,
+    center_buckets,
+    class_of_sizes,
+    default_cache,
     log_psi_rows,
     partition_function,
     sample,
@@ -33,6 +39,7 @@ from stagemallows.rankings import (
     PartialRanking,
     StageDomain,
     kendall_tau_partial,
+    ranking_pair_signs,
 )
 from stagemallows.synth import SynthConfig, generate
 
@@ -496,6 +503,107 @@ class TestEvaluator:
         assert np.array_equal(capped.trace.centers, uncapped.trace.centers)
         assert np.array_equal(capped.trace.spreads, uncapped.trace.spreads)
         assert np.array_equal(capped.trace.log_posteriors, uncapped.trace.log_posteriors)
+
+
+def reference_center_stats(data, prior_center, l, p, center):
+    """_Evaluator.center_stats by definition: the center's discordant and
+    tied-one pairs with each respondent, over the pairs both items of which
+    the respondent ranked, and with the prior center, and the row of each
+    observed-item group's restriction (in order of first appearance), the
+    prior center's and the center's own, each looked up by the class of its
+    bucket sizes in stage order."""
+    n = len(center)
+    stages = np.array([[0 if v is None else v for v in r.stages] for r in data])
+    observed = stages > 0
+    i, j = np.triu_indices(n, k=1)
+    valid = observed[:, i] & observed[:, j]
+    signs = ranking_pair_signs(np.array(center))
+
+    def pair_totals(other, mask):
+        discordant = ((other * signs == -1) & mask).sum()
+        tied_one = (((other == 0) ^ (signs == 0)) & mask).sum()
+        return int(discordant) + p * int(tied_one)
+
+    table = default_cache().table(n, l, p)
+
+    def row(ranking, items):
+        sizes = tuple(sum(ranking[i] == s for i in items) for s in sorted(set(ranking)))
+        return table.find(class_of_sizes(sizes))
+
+    groups = dict.fromkeys(tuple(np.flatnonzero(o).tolist()) for o in observed)
+    rows = [row(center, items) for items in groups]
+    rows += [row(prior_center, range(n)), row(center, range(n))]
+    total_d = pair_totals(ranking_pair_signs(stages), valid)
+    prior_d = pair_totals(ranking_pair_signs(np.array(prior_center)), True)
+    return total_d, rows, prior_d
+
+
+class TestCenterStatsMatchReference:
+    """One pass over a center, against reference_center_stats: distances
+    equal exactly, and row indices identical."""
+
+    @staticmethod
+    def assert_matches(data, prior_center, l, p, visited):
+        assert visited
+        for center, (total_d, rows, prior_d) in visited.items():
+            want_d, want_rows, want_prior_d = reference_center_stats(
+                data, prior_center, l, p, center)
+            assert (total_d, prior_d) == (want_d, want_prior_d), center
+            assert rows.tolist() == want_rows, center
+
+    @pytest.mark.parametrize("workload", ["survey", "wide", "large"])
+    def test_every_center_a_benchmark_chain_visits(self, monkeypatch, tmp_path, workload):
+        # The benchmark's fits (perfbench/run.py) at chain seed 1000, run
+        # through the CLI, with every center the chain's evaluator meets.
+        visited = {}
+        center_stats = inference._Evaluator.center_stats
+
+        def recorded(self, center):
+            visited[center] = stats = center_stats(self, center)
+            return stats
+
+        monkeypatch.setattr(inference._Evaluator, "center_stats", recorded)
+        fit = ["--iterations", "1500", "--burn-in", "500"]
+        if workload == "survey":
+            data_path = demo_dataset_path()
+            prior_path = data_path.with_name("wellbeing_survey_prior.json")
+        else:
+            center = "1,1,2,2,3,3" if workload == "wide" else "1,1,2,2,2,3,3,3,4,4"
+            n, l, m = (6, 3, 3000) if workload == "wide" else (10, 4, 100)
+            result = CliRunner().invoke(cli, [
+                "simulate", "--n", str(n), "--l", str(l), "--lambda", "1.0", "--center", center,
+                "--M", str(m), "--missing-pct", "10", "--seed", "1",
+                "--out", str(tmp_path / "data")])
+            assert result.exit_code == 0, result.output
+            data_path = tmp_path / "data" / "dataset.csv"
+            truth = json.loads((tmp_path / "data" / "truth.json").read_text(encoding="utf-8"))
+            prior_path = tmp_path / "truth_center.json"
+            prior_path.write_text(json.dumps({"stages": truth["center_internal"]}))
+            fit = ["--init-center", "random"] + (
+                fit if workload == "wide" else ["--iterations", "300", "--burn-in", "100"])
+        result = CliRunner().invoke(cli, [
+            "fit", "--data", str(data_path), "--prior-center", str(prior_path), *fit,
+            "--seed", "1000", "--out-dir", str(tmp_path / "fit")])
+        assert result.exit_code == 0, result.output
+        ds = read_dataset(data_path)
+        prior_center = tuple(read_ranking_file(prior_path)[0])
+        self.assert_matches(ds.rankings(), prior_center, ds.stage_domain.l, 0.5, visited)
+
+    @pytest.mark.parametrize("n, l, tie", [(1, 3, 0.5), (3, 9, 0.5), (4, 7, 0.731),
+                                           (6, 4, 0.5), (7, 3, 0.731)])
+    def test_random_centers(self, n, l, tie):
+        # One item, more stages than items (l > n), and classes whose
+        # buckets run against their key (flipped), at a lattice p and off it.
+        data, truth = _synthetic(n, l, 1.0, 40, seed=10 * n + l, missing=0.0 if n == 1 else 30.0)
+        rng = np.random.default_rng(n * l)
+        prior_center = tuple(rng.integers(1, l + 1, size=n).tolist())
+        ev = inference._Evaluator(data, StageDomain(l), PriorConfig(center=central(*prior_center)),
+                                  DistanceConfig(p=tie))
+        centers = {tuple(rng.integers(1, l + 1, size=n).tolist()) for _ in range(60)}
+        if n > 1:
+            assert any(center_buckets(center)[1] for center in centers)
+        self.assert_matches(data, prior_center, l, tie,
+                            {center: ev.center_stats(center) for center in centers})
 
 
 class TestChainTargetsExactPosterior:

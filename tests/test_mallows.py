@@ -118,9 +118,10 @@ class TestByteGuard:
 
 def clear_program_caches():
     """Forget every cached stage-count step, its key terms, state list,
-    composition and key lookup."""
+    composition, Pascal table and key lookup."""
     for cached in (mallows._stage_step, mallows._step_keys, mallows._step_weights,
-                   mallows._placed_states, mallows._compositions, mallows._key_lookup):
+                   mallows._placed_states, mallows._compositions, mallows._pascal,
+                   mallows._key_lookup):
         cached.cache_clear()
 
 
@@ -191,6 +192,20 @@ class TestStageStep:
                 math.factorial(b) // math.prod(map(math.factorial, v)) for v in want], (b, k)
             assert split.tolist() == [
                 math.comb(b, 2) - sum(math.comb(t, 2) for t in v) for v in want], (b, k)
+
+    def test_multinomials_from_every_pascal_table_size(self):
+        # Buckets of 16 items or more read larger tables: 32 and 64 rows, and
+        # 256 at one stage (128 items), where rows past 66 wrap in int64 but
+        # the diagonal, all that one stage reads, stays 1.
+        for b, k in [(15, 3), (16, 3), (31, 2), (32, 2), (63, 2)]:
+            comps, _, mult, _ = mallows._compositions(b, k)
+            assert mult.tolist() == [math.factorial(b) // math.prod(map(math.factorial, v))
+                                     for v in comps.tolist()], (b, k)
+        assert mallows._compositions(128, 1)[2].tolist() == [1]
+        pascal = mallows._pascal(256)
+        for i in range(67):
+            assert pascal[i, :i + 1].tolist() == [math.comb(i, j) for j in range(i + 1)], i
+        assert (np.diag(pascal) == 1).all()
 
     def test_placed_states_are_every_composition_by_ascending_code(self):
         for m, k in itertools.product(range(11), range(1, 5)):
