@@ -22,17 +22,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from run import SURVEY, WORKLOADS  # noqa: E402
+from workloads import ROOT, WORKLOADS, environment, prepare
 
 CHAIN_SEEDS = (1000, 1001, 1002, 1003)
 WORKLOAD_SEED = 1
@@ -41,31 +36,14 @@ WORKLOAD_SEED = 1
 def run_commands(workload: str, work: Path) -> None:
     """Write the workload's outputs under work, one command per process."""
     wl = WORKLOADS[workload]
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-
-    def stagemallows(*argv: str) -> None:
-        subprocess.run([sys.executable, "-c", "from stagemallows.cli import main; main()",
-                        *argv], cwd=work, env=env, check=True, capture_output=True, text=True)
-
-    if wl.simulate is None:
-        for name in ("wellbeing_survey_synthetic.csv", "wellbeing_survey_synthetic.meta.json",
-                     "wellbeing_survey_prior.json"):
-            shutil.copy(ROOT / SURVEY / name, work / name)
-        data, prior = "wellbeing_survey_synthetic.csv", "wellbeing_survey_prior.json"
-    else:
-        stagemallows("simulate", *wl.simulate, "--seed", str(WORKLOAD_SEED), "--out", "data")
-        data, prior = "data/dataset.csv", "truth_center.json"
-        # The prior is centered on the truth, as perfbench/run.py writes it.
-        truth = json.loads((work / "data" / "truth.json").read_text(encoding="utf-8"))
-        (work / prior).write_text(json.dumps(
-            {"stages": truth["center_internal"], "stage_label_offset": 1}))
+    data, prior = prepare(workload, WORKLOAD_SEED, ROOT, work)
     for seed in CHAIN_SEEDS:
-        stagemallows("fit", "--data", data, "--prior-center", prior, *wl.fit,
-                     "--iterations", str(wl.iterations), "--burn-in", str(wl.burn_in),
-                     "--seed", str(seed), "--out-dir", f"fit{seed}")
+        subprocess.run([sys.executable, "-c", "from stagemallows.cli import main; main()",
+                        "fit", "--data", data, "--prior-center", prior, *wl.fit,
+                        "--iterations", str(wl.iterations), "--burn-in", str(wl.burn_in),
+                        "--seed", str(seed), "--out-dir", f"fit{seed}"],
+                       cwd=work, env=environment(ROOT), check=True, capture_output=True,
+                       text=True)
 
 
 def main() -> None:

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -34,37 +32,9 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from run import SURVEY, WORKLOADS  # noqa: E402
+from workloads import ROOT, WORKLOADS, environment, prepare
 
 COMPARED = ("report.json", "trace.ndjson")
-
-
-def environment(tree: Path) -> dict:
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
-    return env
-
-
-def prepare(workload: str, seed: int, head: Path, work: Path) -> tuple[str, str]:
-    """The workload's dataset and prior-center files under work, as relative paths."""
-    wl = WORKLOADS[workload]
-    if wl.simulate is None:
-        for name in ("wellbeing_survey_synthetic.csv", "wellbeing_survey_synthetic.meta.json",
-                     "wellbeing_survey_prior.json"):
-            shutil.copy(ROOT / SURVEY / name, work / name)
-        return "wellbeing_survey_synthetic.csv", "wellbeing_survey_prior.json"
-    subprocess.run([sys.executable, "-c", "from stagemallows.cli import main; main()",
-                    "simulate", *wl.simulate, "--seed", str(seed), "--out", "data"],
-                   cwd=work, env=environment(head), check=True, capture_output=True, text=True)
-    truth = json.loads((work / "data" / "truth.json").read_text(encoding="utf-8"))
-    (work / "truth_center.json").write_text(json.dumps(
-        {"stages": truth["center_internal"], "stage_label_offset": 1}))
-    return "data/dataset.csv", "truth_center.json"
 
 
 def fit(tree: Path, argv: list[str], work: Path) -> float:

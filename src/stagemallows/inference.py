@@ -43,6 +43,7 @@ from .mallows import (
     MallowsParams,
     center_buckets,
     check_capacity,
+    class_of_sizes,
     default_cache,
     distance_grid,
     log_psi_rows,
@@ -280,17 +281,16 @@ class _Evaluator:
         both distances, and one matrix-vector product gives every group's
         restricted class, and its own, as one integer code, the bucket sizes
         in base n + 1. Codes are looked up in one dict of the evaluator's; a
-        code met for the first time is decoded to its sizes and looked up, or
-        its row built, by RowTable.find."""
+        code met for the first time is decoded to its sizes, and the row of
+        their class looked up, or built, by RowTable.find."""
         stats = self._center_stats.get(center)
         if stats is not None:
             self._center_stats.move_to_end(center)
             return stats
         signs = ranking_pair_signs(np.asarray(center, dtype=np.int32))
-        discordant, tied_one, prior_discordant, prior_tied = (
-            self._tallies.take(self._pair_base + signs, axis=1).sum(axis=1).tolist())
-        total_d = float(discordant + self.cfg.p * tied_one)
-        prior_d = prior_discordant + self.cfg.p * prior_tied
+        # Discordant, tied-one, and the same two with the prior center.
+        counts = self._tallies.take(self._pair_base + signs, axis=1).sum(axis=1).tolist()
+        total_d, prior_d = self.cfg.weigh(*counts[:2]), self.cfg.weigh(*counts[2:])
 
         # How many of a row's items sit in each of the center's buckets, in
         # the class key's order, as one code: digit t, in base n + 1, counts
@@ -303,8 +303,8 @@ class _Evaluator:
             base = self.n + 1
             for g, code in enumerate(codes):
                 if rows[g] is None:
-                    sizes = tuple(code // base**t % base for t in range(len(class_key)))
-                    rows[g] = self._code_rows[code] = self._table.find(sizes)
+                    sizes = [code // base**t % base for t in range(len(class_key))]
+                    rows[g] = self._code_rows[code] = self._table.find(class_of_sizes(sizes))
         rows.insert(-1, self._prior_row)
         stats = (total_d, np.array(rows), prior_d)
         self._center_stats[center] = stats

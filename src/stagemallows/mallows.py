@@ -405,19 +405,24 @@ def distance_grid(n: int, p: float) -> np.ndarray:
     return grid
 
 
+def grid_weights(grid: np.ndarray, spread: float) -> np.ndarray:
+    """exp(-distance / spread) of each distance of the grid. Below a spread
+    of 1e-300 every positive distance (at least p >= 1/2) has weight 0
+    already; taking such spreads as 1e-300 keeps grid / spread finite."""
+    return np.exp(grid / -max(spread, 1e-300))
+
+
 def log_psi_rows(rows: np.ndarray, grid: np.ndarray, spread: float) -> np.ndarray:
     """log psi(spread) of each row of multiplicities over the distance grid.
 
-    psi = row @ exp(-grid / spread) needs no log-sum-exp shift: a class's
-    row counts the center itself at distance 0, with weight exactly 1, and
-    sums to l^n < 2^63 (check_capacity), so psi lies in [1, l^n]. Below a
-    spread of 1e-300 every positive distance (at least p >= 1/2) has weight
-    0 already; taking such spreads as 1e-300 keeps grid / spread finite.
+    psi = row @ grid_weights(grid, spread) needs no log-sum-exp shift: a
+    class's row counts the center itself at distance 0, with weight exactly
+    1, and sums to l^n < 2^63 (check_capacity), so psi lies in [1, l^n].
     Each row is its own dot product (np.vecdot), so its value does not depend
     on the other rows passed with it; a BLAS matrix-vector product sums a row
     in an order that depends on its position in the matrix.
     """
-    return np.log(np.vecdot(rows, np.exp(grid / -max(spread, 1e-300))))
+    return np.log(np.vecdot(rows, grid_weights(grid, spread)))
 
 
 def _uniform_subsets(sizes: np.ndarray, l: int, rng: np.random.Generator) -> np.ndarray:
@@ -448,10 +453,9 @@ def _uniform_subset(size: int, l: int, rng: np.random.Generator) -> list[int]:
 class RowTable:
     """The rows of one space (n, l, p): matrix[:count], one per structural
     class met (see find), in a matrix that doubles when full, and index, from
-    each class key and each tuple of bucket sizes looked up to its row. A
-    row is added once, under the table's lock, and never changes, so a
-    reader needs no lock: it reads a row's index, or count, and then matrix,
-    which holds every row added by then."""
+    each class key to its row. A row is added once, under the table's lock,
+    and never changes, so a reader needs no lock: it reads a row's index, or
+    count, and then matrix, which holds every row added by then."""
 
     def __init__(self, n: int, l: int, p: float):
         self.n, self.l, self.p, self._lock = n, l, p, threading.Lock()
@@ -459,10 +463,10 @@ class RowTable:
         self.count = 0
         self.index: dict[tuple[int, ...], int] = {}
 
-    def find(self, sizes: tuple[int, ...]) -> int:
-        """The index of the row of the class of these bucket sizes
-        (class_of_sizes), built outside the lock on first use; a writer that
-        lost the race to add it keeps the row added first.
+    def find(self, class_key: tuple[int, ...]) -> int:
+        """The index of the row of this class key (class_of_sizes), built
+        outside the lock on first use; a writer that lost the race to add it
+        keeps the row added first.
 
         A class of r <= n items counts the points of {1..l}^r per distance,
         over one integer key per (d, e): with p = a / b in lowest terms
@@ -473,11 +477,8 @@ class RowTable:
         are exact (see _stage_count_table); the float64 row rounds an entry
         only past 2^53, which needs l > n.
         """
-        found = self.index.get(sizes)
-        if found is not None:
-            return found
-        class_key = class_of_sizes(sizes)
-        if class_key not in self.index:
+        found = self.index.get(class_key)
+        if found is None:
             check_capacity(sum(class_key), self.l)
             alpha, beta, lookup = _key_lookup(sum(class_key), self.n, self.p)
             counts = _stage_count_table(class_key, self.l, alpha, beta)
@@ -492,8 +493,7 @@ class RowTable:
                     self.matrix[self.count] = row
                     self.index[class_key] = self.count
                     self.count += 1
-        # Every writer stores the same index here.
-        found = self.index[sizes] = self.index[class_key]
+            found = self.index[class_key]
         return found
 
 
@@ -572,7 +572,7 @@ class PartitionCache:
         steps, final_states, terms, last_spread, shares, walks = entry
         grid, index, mult, finish, into, stage_lists = terms
         if last_spread != spread:
-            edge_w = mult * np.exp(grid / -spread)[index]
+            edge_w = mult * grid_weights(grid, spread)[index]
             shares, ahead, end = [], finish, len(edge_w)
             for dest in reversed(into):
                 start = end - dest.size

@@ -195,6 +195,10 @@ class DistanceConfig:
         if not (0.5 <= self.p <= 1.0):
             raise ValueError(f"penalty p must lie in [0.5, 1], got {self.p}")
 
+    def weigh(self, discordant, tied_one):
+        """The distance of discordant and tied-in-one pair counts: d + p * e."""
+        return discordant + self.p * tied_one
+
 
 class PairKind(enum.Enum):
     """How one unordered item pair compares across two rankings."""
@@ -294,7 +298,7 @@ def kendall_tau_partial(
     contribute nothing. Symmetric in x and y.
     """
     tally = pair_tally(x, y)
-    return tally[PairKind.DISCORDANT] + cfg.p * tally[PairKind.TIED_ONE]
+    return cfg.weigh(tally[PairKind.DISCORDANT], tally[PairKind.TIED_ONE])
 
 
 def ranking_from_values(values: Sequence[Optional[int]]) -> Ranking:

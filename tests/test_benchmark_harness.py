@@ -1,19 +1,23 @@
-"""Smoke tests of the benchmark harness in perfbench/, of the layer
-harnesses scripts/time_rows.py, scripts/time_chain.py and scripts/time_io.py,
-and of scripts/output_digests.py and scripts/time_fits.py, run as a user runs
-them.
+"""Smoke tests of the benchmark harness in perfbench/, of the layer harness
+scripts/time_layers.py, and of scripts/output_digests.py and
+scripts/time_fits.py, run as a user runs them.
 
 The traced run wraps PartitionCache.log_psi and PartitionCache.histogram by
 name and checks that the layers' self times add up to the traced wall
 time within 5%, so this test fails when a refactor of the package breaks
-the names the tracer patches or the harness's own checks. time_rows.py
-clears the stage-count caches, the Pascal table (mallows._pascal) and the
-row key lookups (mallows._key_lookup) by name, so that each pass builds
-its rows cold, and time_chain.py and time_io.py time the chain's private
-evaluator, which reads the rows from the process's PartitionCache, and
-time_chain.py its private move functions and empties its group-code index
-(_Evaluator._code_rows); they break the same way. time_fits.py imports
-perfbench/run.py's workloads and runs fits through perfbench/child.py.
+the names the tracer patches or the harness's own checks. time_layers.py
+clears the stage-count caches, the Pascal table (mallows._pascal), the key
+terms and weights (mallows._step_keys, mallows._step_weights), the row key
+lookups (mallows._key_lookup) and a PartitionCache's tables
+(PartitionCache._tables) by name, so that each pass builds its programs and
+rows cold. It times the chain's private evaluator (inference._Evaluator),
+which reads the rows from the process's PartitionCache, empties its stats
+cache and group-code index (_Evaluator._center_stats, _Evaluator._code_rows),
+and times its private move functions (inference._state_at,
+inference._center_move, inference._spread_move); it breaks the same way. All
+three scripts make the workloads' data through scripts/workloads.py, which
+imports perfbench/run.py's WORKLOADS, and time_fits.py runs fits through
+perfbench/child.py.
 """
 
 import json
@@ -23,6 +27,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import WORKLOADS  # noqa: E402
 
 
 def test_traced_large_run_is_correct_and_fails_nothing():
@@ -37,38 +44,39 @@ def test_traced_large_run_is_correct_and_fails_nothing():
     assert summary["failed"] == 0, result.stdout
 
 
-def _run_script(name: str) -> dict:
+def test_layer_harness_times_every_layer_on_the_benchmark_data():
     result = subprocess.run(
-        [sys.executable, f"scripts/{name}", "--repeats", "1"],
+        [sys.executable, "scripts/time_layers.py", "--repeats", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
     )
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout)
+    figures = json.loads(result.stdout)
 
-
-def test_row_harness_times_every_space():
-    spaces = _run_script("time_rows.py")["spaces"]
+    spaces = figures["rows"]
     assert len(spaces) == 5
     assert all(space["row_s"] > 0 for space in spaces), spaces
 
+    io = figures["io"]
+    assert io["M"] == 3000 and io["retained_samples"] == 1000
+    assert sorted(io["calls"]) == ["evaluator_init", "generate", "read_dataset",
+                                   "write_raw_dataset", "write_trace"]
+    assert all(call["us_per_row"] > 0 for call in io["calls"].values()), io
 
-def test_io_harness_times_every_call():
-    figures = _run_script("time_io.py")
-    assert figures["M"] == 3000 and figures["retained_samples"] == 1000
-    assert sorted(figures["calls"]) == ["evaluator_init", "generate", "read_dataset",
-                                        "write_raw_dataset", "write_trace"]
-    assert all(call["us_per_row"] > 0 for call in figures["calls"].values()), figures
-
-
-def test_chain_harness_times_every_layer():
-    datasets = _run_script("time_chain.py")["datasets"]
-    assert sorted(datasets) == ["large", "survey", "wide"]
-    for figures in datasets.values():
+    chain = figures["chain"]
+    assert sorted(chain) == ["large", "survey", "wide"]
+    for name, dataset in chain.items():
         assert {"center_stats_first_us", "evaluate_new_spread_us", "center_move_us",
-                "spread_move_us"} <= set(figures)
-        assert all(figures[key] > 0 for key in figures if key.endswith("_us")), figures
+                "spread_move_us"} <= set(dataset)
+        assert all(dataset[key] > 0 for key in dataset if key.endswith("_us")), dataset
+        simulate = WORKLOADS[name].simulate
+        if simulate is None:
+            assert dataset["respondents"] == 30
+        else:
+            settings = dict(zip(simulate[::2], simulate[1::2]))
+            assert (dataset["n"], dataset["l"], dataset["respondents"]) == (
+                int(settings["--n"]), int(settings["--l"]), int(settings["--M"]))
 
 
 def test_output_digests_list_every_file_of_the_workload():

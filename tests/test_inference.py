@@ -550,6 +550,9 @@ class TestCenterStatsMatchReference:
                 data, prior_center, l, p, center)
             assert (total_d, prior_d) == (want_d, want_prior_d), center
             assert rows.tolist() == want_rows, center
+        # The space's table indexes each of its rows once, by class key.
+        table = default_cache().table(len(prior_center), l, p)
+        assert len(table.index) == table.count
 
     @pytest.mark.parametrize("workload", ["survey", "wide", "large"])
     def test_every_center_a_benchmark_chain_visits(self, monkeypatch, tmp_path, workload):

@@ -595,13 +595,17 @@ class TestSample:
 
     # At spread 1e-3 every way that leaves the center weighs exp(-500) or
     # less, and some states' totals underflow to 0; the only draw left is
-    # the center, and no 0 / 0 is formed on the way. (2, 2, 2, 2) at l = 4
-    # is the survey's class.
+    # the center, and no 0 / 0 is formed on the way. At 1e-320 a distance
+    # over the spread overflows unless the spread is floored (grid_weights).
+    # (2, 2, 2, 2) at l = 4 is the survey's class.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("center", [(1, 1, 2, 2, 3, 3, 4, 4), (1, 2, 4, 4, 3, 1, 2, 3)])
+    @pytest.mark.parametrize("center, spread", [
+        ((1, 1, 2, 2, 3, 3, 4, 4), 1e-3), ((1, 2, 4, 4, 3, 1, 2, 3), 1e-3),
+        ((1, 1, 2, 2, 3, 3, 4, 4), 1e-320), ((1, 2, 4, 4, 3, 1, 2, 3), 1e-320),
+    ], ids=["center0", "center1", "center0-1e-320", "center1-1e-320"])
     @pytest.mark.parametrize("route", [batch, one_by_one], ids=["batch", "one_by_one"])
-    def test_underflowing_spread_gives_the_center(self, center, route):
-        draws = route(params(center, 1e-3, 4), np.random.default_rng(3), 200)
+    def test_underflowing_spread_gives_the_center(self, center, spread, route):
+        draws = route(params(center, spread, 4), np.random.default_rng(3), 200)
         assert set(draws) == {center}
 
     def test_flat_limit_frequencies(self):
