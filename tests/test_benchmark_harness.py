@@ -26,6 +26,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -44,7 +46,9 @@ def test_traced_large_run_is_correct_and_fails_nothing():
     assert summary["failed"] == 0, result.stdout
 
 
-def test_layer_harness_times_every_layer_on_the_benchmark_data():
+@pytest.fixture(scope="module")
+def layer_figures() -> dict:
+    """One ``--repeats 1`` run of time_layers.py, shared by its three sections' tests."""
     result = subprocess.run(
         [sys.executable, "scripts/time_layers.py", "--repeats", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -52,19 +56,25 @@ def test_layer_harness_times_every_layer_on_the_benchmark_data():
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
     )
     assert result.returncode == 0, result.stderr
-    figures = json.loads(result.stdout)
+    return json.loads(result.stdout)
 
-    spaces = figures["rows"]
+
+def test_row_harness_times_every_space(layer_figures):
+    spaces = layer_figures["rows"]
     assert len(spaces) == 5
     assert all(space["row_s"] > 0 for space in spaces), spaces
 
-    io = figures["io"]
+
+def test_io_harness_times_every_call(layer_figures):
+    io = layer_figures["io"]
     assert io["M"] == 3000 and io["retained_samples"] == 1000
     assert sorted(io["calls"]) == ["evaluator_init", "generate", "read_dataset",
                                    "write_raw_dataset", "write_trace"]
     assert all(call["us_per_row"] > 0 for call in io["calls"].values()), io
 
-    chain = figures["chain"]
+
+def test_chain_harness_times_every_layer(layer_figures):
+    chain = layer_figures["chain"]
     assert sorted(chain) == ["large", "survey", "wide"]
     for name, dataset in chain.items():
         assert {"center_stats_first_us", "evaluate_new_spread_us", "center_move_us",
