@@ -18,7 +18,9 @@ goes first.
 Prints one JSON object: each side's chain milliseconds per pair (summed over
 the pair's chains), the median head/base ratio of the pairs with its
 quartiles, how many pairs the head won (ran faster), and per pair whether
-the two trees wrote the same ``report.json`` and ``trace.ndjson`` bytes.
+the two trees wrote the same bytes in every file of every fit's output
+directory: ``report.json``, ``trace.ndjson``, ``heatmap.svg`` (the stage
+marginals) and ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ import time
 from pathlib import Path
 
 from workloads import ROOT, WORKLOADS, environment, prepare
-
-COMPARED = ("report.json", "trace.ndjson")
 
 
 def fit(tree: Path, argv: list[str], work: Path) -> float:
@@ -93,7 +93,8 @@ def main() -> None:
                         "fit", "--data", data, "--prior-center", prior, *wl.fit,
                         "--iterations", str(wl.iterations), "--burn-in", str(wl.burn_in),
                         "--seed", str(seed), "--out-dir", out], work)
-                    written[side] = [(work / out / name).read_bytes() for name in COMPARED]
+                    written[side] = {path.name: path.read_bytes()
+                                     for path in sorted((work / out).iterdir())}
                 same &= written["base"] == written["head"]
             for side in trees:
                 chain_ms[side].append(round(seconds[side] * 1e3, 3))

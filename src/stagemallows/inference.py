@@ -574,7 +574,10 @@ def stage_marginals(trace: McmcTrace) -> np.ndarray:
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    out = np.empty((trace.n, trace.l), dtype=np.float64)
-    for s in range(1, trace.l + 1):
-        out[:, s - 1] = np.mean(trace.centers == s, axis=0)
-    return out
+    # Cell i * l + s - 1 per sample and item, counted in float64 by unit
+    # weights and divided in place: the n-by-l output is the one array of
+    # its size.
+    cells = trace.centers + np.arange(-1, trace.n * trace.l - 1, trace.l, dtype=np.intp)
+    out = np.bincount(cells.ravel(), np.ones(cells.size), trace.n * trace.l)
+    out /= len(trace)
+    return out.reshape(trace.n, trace.l)

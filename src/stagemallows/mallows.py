@@ -81,9 +81,12 @@ def check_capacity(n: int, l: int, draws: int = 0) -> int:
     CAPACITY_BYTE_BUDGET. With k = min(l, n) stages in the program and
     P = C(n, 2) item pairs, its largest (state, key) table has at most
     C(n+k-1, k-1) * (P+1)^2 float64 cells, the key (P+1) d + e being the
-    widest; the estimate is four such tables (the table, the one before it
-    or its nonzero cells, and the scatter's index and weight temporaries),
-    plus 20 bytes per pair of pair lists and the n-by-l float64 marginals.
+    widest. A step holds the table before it, or its nonzero cells, and
+    within one table's size either the last bucket's W and padded product
+    or a block's index and weight temporaries; a scatter adds each block's
+    sum to the table it grows (see _stage_count_table). So the estimate is
+    four such tables, plus 20 bytes per pair of pair lists and the n-by-l
+    float64 marginals.
     The budget also keeps the program's float64 counts exact: each is at
     most k^n, and no accepted space has k^n past 2^48 (l = 2, n = 48),
     below the 2^53 where float64 stops holding every integer.
@@ -286,43 +289,35 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
 
     Runs the stage-count program (see _stage_steps), with table[u, key]
     counting the ways to reach state u with that key among the items
-    placed: one row of keys per state, not a (d, e) plane. A step's key
-    shifts, and W below, are kept with it (_step_keys, _step_weights). The
-    program starts from the first bucket's own table, its initial condition:
-    from the empty state each composition c lands on a state of its own,
-    dest[0, c], at key shift[0, c], in mult[c] ways, one assignment for all
-    of them, and a class of one bucket is that table summed over its states.
-    Later tables have mostly zero cells, so each step moves only the nonzero
-    ones, in blocks of as many compositions as keep the index and weight
-    temporaries within the size of the grown table: one weighted np.bincount
-    per block sums the edges that meet. A step that needs more than one
-    block adds each composition in place instead, which is exact because
-    one composition moves distinct cells to distinct cells.
+    placed: one row of keys per state, not a (d, e) plane. It starts from
+    the first bucket's own table: from the empty state each composition c
+    lands on a state of its own, dest[0, c], at key shift[0, c], in mult[c]
+    ways. The final table is summed over its states, so when l <= n the
+    last bucket lands straight on the key axis.
 
-    The final table is summed over its states, so when l <= n the last
-    bucket lands straight on the key axis. On the lattice key it does so
-    with one matrix product: W[s, delta] sums the multiplicities of the
-    compositions that shift state s by delta, Y = W.T @ table, and row delta
-    of Y is added in at offset delta, a skewed sum read off one padded
-    array. It is taken when W and the padded Y together fit within the grown
-    table's size, the scatter's own allowance. The pair key (P+1) d + e
-    keeps the scatter: its shifts lie P+1 apart per discordant pair, so most
-    of W's columns would be zero.
+    Each later step has one allowance, the size of the table it grows (its
+    states by the widened key row), and one rule. The last bucket, when
+    l <= n, takes one matrix product if W and the padded product fit within
+    the allowance together: W[s, delta] sums the multiplicities of the
+    compositions that shift state s by delta (_step_weights), and row delta
+    of W.T @ table is added in at offset delta, a skewed sum read off one
+    padded array. Every other step scatters the table's nonzero cells with
+    one weighted np.bincount per block of as many compositions as keep the
+    index and weight temporaries within the allowance, and adds the blocks.
 
     The counts are float64, and exact: each is at most k^n, with k = min(l, n)
     stages in the program, and check_capacity accepts no space where k^n
-    reaches 2^53. Every product and partial sum, in the scatter and in the
-    matrix product alike, is a nonnegative integer no larger than the count
-    it adds to, so the result does not depend on the order of summation
-    (nor on the BLAS). The result is int64. At most n stages are occupied,
-    so for l > n the program runs over n stages: a final state with j
-    occupied stages stands for C(n, j) ways to choose them there and C(l, j)
-    over l stages, a scaling done in int64, exact below l^n < 2^63.
+    reaches 2^53. Every product and partial sum is a nonnegative integer no
+    larger than the count it adds to, so the result does not depend on the
+    order of summation (nor on the BLAS). The result is int64. At most n
+    stages are occupied, so for l > n the program runs over n stages: a
+    final state with j occupied stages stands for C(n, j) ways to choose
+    them there and C(l, j) over l stages, a scaling done in int64, exact
+    below l^n < 2^63.
     """
     n = sum(class_key)
     k = min(l, n)
     steps, final_states = _stage_steps(class_key, k)
-    pair_key = (alpha, beta) == (n * (n - 1) // 2 + 1, 1)
     first, placed = steps[0], class_key[0]
     shift, top = _step_keys(0, placed, k, alpha, beta)
     table = np.zeros((first.states, top + 1))
@@ -333,8 +328,8 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
         last = placed == n and l <= n
         states, keys = table.shape
         width, span = keys + top, top + 1
-        if (last and not pair_key
-                and states * span + span * (keys + span) <= step.states * width):
+        allowance = step.states * width
+        if last and states * span + span * (keys + span) <= allowance:
             # Y in rows of keys + span cells, zero-padded, read again in rows
             # of width = keys + span - 1 cells: row delta starts delta later.
             skew = np.zeros((span, keys + span))
@@ -344,21 +339,15 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
             cells = np.flatnonzero(table)
             state, key = np.divmod(cells, keys)
             count = table.take(cells)
-            block = max(1, step.states * width // (2 * len(count)))
-            index, size = (shift, width) if last else (step.dest * width + shift,
-                                                        step.states * width)
-            if last or block >= len(step.mult):
-                parts = (np.bincount((index[:, c:c + block].take(state, axis=0)
-                                      + key[:, np.newaxis]).ravel(),
-                                     (count[:, np.newaxis] * step.mult[c:c + block]).ravel(), size)
-                         for c in range(0, len(step.mult), block))
-                table = next(parts)
-                for part in parts:
-                    table += part
-            else:
-                table = np.zeros(size)
-                for c, mult in enumerate(step.mult):
-                    table[index[:, c].take(state) + key] += count * mult
+            block = max(1, allowance // (2 * len(count)))
+            index, size = (shift, width) if last else (step.dest * width + shift, allowance)
+            parts = (np.bincount((index[:, c:c + block].take(state, axis=0)
+                                  + key[:, np.newaxis]).ravel(),
+                                 (count[:, np.newaxis] * step.mult[c:c + block]).ravel(), size)
+                     for c in range(0, len(step.mult), block))
+            table = next(parts)
+            for part in parts:
+                table += part
         table = table.reshape(-1, width)
     table = table.astype(np.int64)
     if l > n:

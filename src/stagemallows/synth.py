@@ -53,10 +53,10 @@ def _censor(
     stages: tuple[int, ...], rng: np.random.Generator, cfg: SynthConfig
 ) -> tuple[int | None, ...]:
     n = len(stages)
-    cutoff = _round_half_up(
-        float(rng.normal(cfg.censor_location_factor * n, cfg.censor_scale))
-    )
-    cutoff = min(max(cutoff, 1), n)
+    draw = float(rng.normal(cfg.censor_location_factor * n, cfg.censor_scale))
+    # Clamped to [1, n] before rounding, as a draw may be infinite; NaN, from
+    # an infinite location and deviation of opposite signs, clamps to 1.
+    cutoff = _round_half_up(min(max(1.0, draw), n))
     # Items ordered by stage (ties by item index); 1-based positions at or
     # past the cutoff are dropped. Never drop everything.
     order = np.argsort(np.asarray(stages), kind="stable")

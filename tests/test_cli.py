@@ -144,6 +144,23 @@ class TestSimulate:
         assert "Traceback" not in result.output
         assert "1000000000000 draws" in result.output
 
+    # A censoring draw past the float range is infinite, and with both
+    # settings at 1e308 sometimes NaN; every respondent is censored.
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("censor", [
+        ["--censor-location-factor", "1e308"], ["--censor-location-factor", "-1e308"],
+        ["--censor-scale", "1e308"],
+        ["--censor-location-factor", "1e308", "--censor-scale", "1e308"],
+    ])
+    def test_overflowing_censoring_draws(self, runner, tmp_path, command, censor):
+        extra = ["--repeats", "1", "--iterations", "4", "--burn-in", "2"] * (command == "eval")
+        result = runner.invoke(
+            cli,
+            [command, "--n", "4", "--l", "3", "--lambda", "1", "--center-random", "--M", "30",
+             "--missing-pct", "100", *censor, *extra, "--out", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 0, (result.output, result.exception)
+
     # 10^12 retained samples: the chain's trace is refused before it starts.
     @pytest.mark.parametrize("args", [
         ["fit", "--data", str(demo_dataset_path()), "--prior-center", "uniform-random",
@@ -507,6 +524,8 @@ _SIMULATE_FLAGS = {
     "--lambda": ["1", "1e-300", "1e300"],
     "--p": ["0.5", "1"],
     "--missing-pct": ["50", "0", "100", "101"],
+    "--censor-location-factor": ["0.75", "1e308", "-1e308"],
+    "--censor-scale": ["1", "1e308"],
 }
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -13,6 +14,7 @@ from stagemallows.cli import cli
 from stagemallows.errors import InitializationError
 from stagemallows.inference import (
     McmcConfig,
+    McmcTrace,
     PriorConfig,
     log_likelihood,
     log_posterior,
@@ -811,6 +813,36 @@ class TestTraceOps:
         result = mcmc_fit(data, truth.domain, prior, McmcConfig(iterations=400, burn_in=100, seed=23))
         modes = result.marginals.argmax(axis=1) + 1
         assert tuple(int(v) for v in modes) == truth.center.stages
+
+    @staticmethod
+    def random_trace(n, l, samples, seed):
+        rng = np.random.default_rng(seed)
+        return McmcTrace(
+            n=n, l=l, iterations=np.arange(1, samples + 1),
+            centers=rng.integers(1, l + 1, size=(samples, n), dtype=np.int32),
+            spreads=np.ones(samples), log_posteriors=np.zeros(samples),
+            accept_rate_center=0.0, accept_rate_spread=0.0,
+        )
+
+    @pytest.mark.parametrize("n,l", [(8, 4), (3, 9), (2, 4096)])
+    def test_marginals_equal_a_count_per_item_and_stage(self, n, l):
+        trace = self.random_trace(n, l, 500, seed=n + l)
+        want = np.array([[np.count_nonzero(trace.centers[:, i] == s) / len(trace)
+                          for s in range(1, l + 1)] for i in range(n)])
+        got = stage_marginals(trace)
+        assert got.shape == (n, l) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_marginals_allocate_one_n_by_l_array(self):
+        n, l = 1, 2**20
+        trace = self.random_trace(n, l, 1000, seed=0)
+        tracemalloc.start()
+        try:
+            stage_marginals(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n * l
 
 
 class TestInitializationFailure:

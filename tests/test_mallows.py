@@ -320,9 +320,9 @@ class TestRow:
     @pytest.mark.parametrize("n,l", [(8, 4), (10, 4), (6, 9)])
     def test_equals_the_histogram_summed_onto_the_grid(self, n, l):
         # p = 1/2, 3/4 and 1 run the program over the lattice key b d + a e
-        # (p = a / b), whose last bucket lands by a matrix product where
-        # l <= r; 0.6, 0.731 and the histogram over the key (P+1) d + e, which
-        # keeps the scatter. Classes of fewer than n items give the
+        # (p = a / b); 0.6, 0.731 and the histogram over the key (P+1) d + e.
+        # On either key one size rule lands the last bucket by a matrix
+        # product or by the scatter. Classes of fewer than n items give the
         # restricted rows a fit uses.
         cache = PartitionCache()
         for p in (0.5, 0.75, 1.0, 0.6, 0.731):

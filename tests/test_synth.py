@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stagemallows import synth
 from stagemallows.mallows import MallowsParams
 from stagemallows.rankings import (
     MISSING,
@@ -110,6 +111,17 @@ class TestGenerate:
             )
         )
         assert all(r.r >= 1 for r in data)
+
+    # An infinite location or deviation draws +-inf, or NaN when they meet.
+    @pytest.mark.parametrize("draw,kept", [(np.inf, 4), (-np.inf, 1), (np.nan, 1)])
+    def test_a_draw_past_the_float_range_clamps_the_cutoff(self, draw, kept):
+        class Draws:
+            def normal(self, loc, scale):
+                return draw
+
+        stages = (1, 2, 3, 4, 5)
+        censored = synth._censor(stages, Draws(), SynthConfig(truth(stages, 1.0, 5), size=1))
+        assert sum(v is not MISSING for v in censored) == kept
 
     @pytest.mark.usefixtures("fresh_partition_cache")
     def test_mean_distance_monotone_in_spread(self):
