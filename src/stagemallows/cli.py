@@ -2,7 +2,8 @@
 
 Every command is deterministic given its seed, and every machine-readable
 artifact lands in files; standard output stays human-readable. Commands
-exit 0 on success, 2 on usage or format problems, 3 when a ranking space
+exit 0 on success, 2 on usage or format problems (an input that cannot be
+read or an output that cannot be made included), 3 when a ranking space
 is past the capacity rule (mallows.check_capacity), and 4 when the chain
 cannot start from a finite log-posterior.
 """
@@ -10,7 +11,6 @@ cannot start from a finite log-posterior.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -23,10 +23,12 @@ from .errors import CapacityError, FormatError, InitializationError
 from .inference import McmcConfig, PriorConfig, mcmc_fit
 from .io import (
     QuestionnaireDataset,
+    checked_center,
     filter_items,
     parse_int,
     read_dataset,
     read_ranking_file,
+    read_truth,
     write_fit_report,
     write_heatmap_svg,
     write_json,
@@ -35,7 +37,6 @@ from .io import (
 )
 from .mallows import MallowsParams, check_capacity
 from .rankings import (
-    MISSING,
     CentralRanking,
     DistanceConfig,
     ItemSet,
@@ -75,7 +76,7 @@ def _mapped_errors(fn):
             return fn(*args, **kwargs)
         except ValueError as err:
             raise click.UsageError(str(err))
-        except FormatError as err:
+        except (FormatError, OSError) as err:  # OSError: a path not readable or writable
             _die(str(err), EXIT_USAGE)
         except CapacityError as err:
             _die(str(err), EXIT_CAPACITY)
@@ -90,38 +91,18 @@ def _die(message: str, code: int):
     sys.exit(code)
 
 
-def _read_center_file(path: str, n: int, domain: StageDomain, what: str) -> CentralRanking:
-    """The ranking file's stages as a center of n items in the domain; a file
-    with unranked items, another item count or stages outside the domain is
-    a format error."""
-    stages, _ = read_ranking_file(path)
-    if any(v is MISSING for v in stages):
-        raise FormatError(f"{what} file {path} contains unranked items")
-    if len(stages) != n:
-        raise FormatError(f"{what} file {path} has {len(stages)} items, expected n={n}")
-    center = CentralRanking(tuple(stages))
-    try:
-        center.check_domain(domain)
-    except ValueError as err:
-        raise FormatError(f"{what} file {path}: {err}")
-    return center
-
-
-def _parse_center(text: str, n: int, l: int) -> CentralRanking:
-    """--center accepts a comma list of internal stages or a ranking file."""
-    if Path(text).exists():
-        return _read_center_file(text, n, StageDomain(l), "center")
+def _parse_center(text: str, n: int, domain: StageDomain) -> CentralRanking:
+    """--center accepts a ranking file or a comma list of internal stages."""
+    if Path(text).is_file():
+        stages, _ = read_ranking_file(text)
+        return checked_center(stages, n, domain, f"center file {text}")
     try:
         stages = [parse_int(tok) for tok in text.split(",")]
     except ValueError:
         raise click.UsageError(
             f"--center must be a ranking file or a comma list of stages, got {text!r}"
         )
-    if len(stages) != n:
-        raise click.UsageError(f"--center has {len(stages)} entries, expected n={n}")
-    center = CentralRanking(tuple(stages))
-    center.check_domain(StageDomain(l))
-    return center
+    return checked_center(stages, n, domain, "--center")
 
 
 def _uniform_center(rng: np.random.Generator, n: int, l: int) -> CentralRanking:
@@ -152,10 +133,12 @@ _synth_options = _option_group(
     click.option("--center-random", is_flag=True,
                  help="Draw the true center uniformly from the space."),
     click.option("--M", "size", type=int, required=True, help="Number of respondents."),
-    click.option("--missing-pct", type=float, default=0.0, show_default=True,
-                 help="Percent of respondents to right-censor."),
-    click.option("--censor-location-factor", type=float, default=0.75, show_default=True),
-    click.option("--censor-scale", type=float, default=1.0, show_default=True),
+    click.option("--missing-pct", type=float, default=SynthConfig.missing_percent,
+                 show_default=True, help="Percent of respondents to right-censor."),
+    click.option("--censor-location-factor", type=float,
+                 default=SynthConfig.censor_location_factor, show_default=True),
+    click.option("--censor-scale", type=float, default=SynthConfig.censor_scale,
+                 show_default=True),
 )
 
 
@@ -168,7 +151,7 @@ def _synth_config(rng, n, l, spread, center, center_random, size, missing_pct,
     check_capacity(n, l)
     domain = StageDomain(l)
     truth_center = (
-        _uniform_center(rng, n, l) if center_random else _parse_center(center, n, l)
+        _uniform_center(rng, n, l) if center_random else _parse_center(center, n, domain)
     )
     return SynthConfig(
         truth=MallowsParams(truth_center, spread, domain),
@@ -180,10 +163,11 @@ def _synth_config(rng, n, l, spread, center, center_random, size, missing_pct,
 
 
 _chain_options = _option_group(
-    click.option("--iterations", type=int, default=1500, show_default=True),
-    click.option("--burn-in", type=int, default=500, show_default=True),
-    click.option("--thinning", type=int, default=1, show_default=True),
-    click.option("--proposal-scale", type=float, default=0.1, show_default=True,
+    click.option("--iterations", type=int, default=McmcConfig.iterations, show_default=True),
+    click.option("--burn-in", type=int, default=McmcConfig.burn_in, show_default=True),
+    click.option("--thinning", type=int, default=McmcConfig.thinning, show_default=True),
+    click.option("--proposal-scale", type=float, default=McmcConfig.lambda_proposal_scale,
+                 show_default=True,
                  help="Standard deviation of the spread's truncated-normal walk; 0 pins "
                       "the spread."),
     click.option("--prior-spread", type=float, default=None,
@@ -218,7 +202,7 @@ def cli():
 
 @cli.command("simulate")
 @_synth_options
-@click.option("--p", type=float, default=0.5, show_default=True,
+@click.option("--p", type=float, default=DistanceConfig.p, show_default=True,
               help="Tie penalty for the distance.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), required=True,
@@ -287,50 +271,17 @@ def _resolve_prior_center(
 ) -> CentralRanking:
     if spec == "uniform-random":
         return _uniform_center(rng, ds.items.n, ds.stage_domain.l)
-    return _read_center_file(spec, ds.items.n, ds.stage_domain, "prior center")
+    stages, _ = read_ranking_file(spec)
+    return checked_center(stages, ds.items.n, ds.stage_domain, f"prior center file {spec}")
 
 
-def _load_truth(
-    data_path: Path, n: int, domain: StageDomain
-) -> tuple[CentralRanking, float] | None:
-    """The (center, lambda) of the truth.json next to the data, if any.
-
-    Read before the chain runs, so that a malformed file fails at once: a
-    center stage that is not an integer in the dataset's 1..l is a format
-    error. A file that lacks either value, or whose center has another
-    item count, gives no truth to compare with.
-    """
-    truth_path = data_path.parent / "truth.json"
-    if not truth_path.exists():
-        return None
-    try:
-        truth = json.loads(truth_path.read_text(encoding="utf-8"))
-    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
-        raise FormatError(f"{truth_path} is not valid JSON: {err}")
-    if not isinstance(truth, dict):
-        raise FormatError(f"{truth_path} must hold a JSON object")
-    stages = truth.get("center_internal")
-    if not isinstance(stages, list) or len(stages) != n or "lambda" not in truth:
-        return None
-    try:
-        center = CentralRanking(tuple(stages))
-        center.check_domain(domain)
-        return center, float(truth["lambda"])
-    except (TypeError, ValueError) as err:
-        raise FormatError(f"{truth_path}: bad center_internal or lambda: {err}")
-
-
-def _evaluation_block(
-    truth: tuple[CentralRanking, float] | None, result, cfg: DistanceConfig
-) -> dict | None:
-    if truth is None:
-        return None
-    truth_center, truth_lambda = truth
+def _evaluation_block(truth: MallowsParams, result, cfg: DistanceConfig) -> dict:
+    """The fit's MAP estimate against the model that generated its data."""
     return {
-        "dp_to_truth": kendall_tau_partial(result.pi_map, truth_center, cfg),
-        "lambda_abs_error": abs(result.lambda_map - truth_lambda),
-        "truth_lambda": truth_lambda,
-        "truth_center_internal": list(truth_center.stages),
+        "dp_to_truth": kendall_tau_partial(result.pi_map, truth.center, cfg),
+        "lambda_abs_error": abs(result.lambda_map - truth.spread),
+        "truth_lambda": truth.spread,
+        "truth_center_internal": list(truth.center.stages),
     }
 
 
@@ -340,13 +291,13 @@ def _evaluation_block(
 @click.option("--prior-center", type=str, required=True,
               help='Ranking file, or "uniform-random".')
 @_chain_options
-@click.option("--lambda-init", type=float, default=1.0, show_default=True)
+@click.option("--lambda-init", type=float, default=McmcConfig.lambda_init, show_default=True)
 @click.option("--init-center", type=click.Choice(["prior", "random"]),
               default="prior", show_default=True,
               help="Start the chain at the prior center or a uniform draw.")
 @click.option("--min-response-rate", type=float, default=0.0, show_default=True,
               help="Drop items ranked by fewer than this fraction of respondents.")
-@click.option("--p", type=float, default=0.5, show_default=True)
+@click.option("--p", type=float, default=DistanceConfig.p, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), required=True)
 @_mapped_errors
@@ -362,7 +313,7 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
     if min_response_rate > 0.0:
         ds = filter_items(ds, min_response_rate)
 
-    truth = _load_truth(data, ds.items.n, ds.stage_domain)
+    truth = read_truth(data, ds.items.n, ds.stage_domain)
     rng = np.random.default_rng(seed)
     prior_center_ranking = _resolve_prior_center(prior_center, ds, rng)
     start = (
@@ -396,7 +347,7 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
         },
     )
 
-    evaluation = _evaluation_block(truth, result, cfg)
+    evaluation = None if truth is None else _evaluation_block(truth, result, cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_fit_report(
@@ -434,7 +385,7 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
 @click.option("--prior-center", type=click.Choice(["truth", "uniform-random"]),
               default="truth", show_default=True,
               help="Center the prior on the generating truth or a uniform draw.")
-@click.option("--p", type=float, default=0.5, show_default=True)
+@click.option("--p", type=float, default=DistanceConfig.p, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), required=True)
 @_mapped_errors
@@ -470,18 +421,10 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
                                     prior_spread, prior_ranking,
                                     lambda_init, chain_seed, start)
         result = mcmc_fit(data, synth_cfg.truth.domain, prior, mcmc, cfg)
+        rows.append((chain_seed, _evaluation_block(synth_cfg.truth, result, cfg)))
 
-        rows.append(
-            {
-                "repeat": k,
-                "seed": chain_seed,
-                "lambda_mae": abs(result.lambda_map - spread),
-                "dp_to_truth": kendall_tau_partial(result.pi_map, truth_center, cfg),
-            }
-        )
-
-    mean_mae = sum(r["lambda_mae"] for r in rows) / repeats
-    mean_dp = sum(r["dp_to_truth"] for r in rows) / repeats
+    mean_mae = sum(e["lambda_abs_error"] for _, e in rows) / repeats
+    mean_dp = sum(e["dp_to_truth"] for _, e in rows) / repeats
 
     manifest = RunManifest(
         subcommand="eval",
@@ -501,10 +444,8 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
 
     out.mkdir(parents=True, exist_ok=True)
     lines = ["repeat,seed,lambda_mae,dp_to_truth"]
-    for r in rows:
-        lines.append(
-            f"{r['repeat']},{r['seed']},{r['lambda_mae']!r},{r['dp_to_truth']!r}"
-        )
+    for k, (chain_seed, e) in enumerate(rows):
+        lines.append(f"{k},{chain_seed},{e['lambda_abs_error']!r},{e['dp_to_truth']!r}")
     lines.append(f"mean,,{mean_mae!r},{mean_dp!r}")
     (out / "eval.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_json(asdict(manifest), out / "manifest.json")
@@ -519,7 +460,7 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
 @cli.command("distance")
 @click.argument("file_a", type=click.Path(path_type=Path))
 @click.argument("file_b", type=click.Path(path_type=Path))
-@click.option("--p", type=float, default=0.5, show_default=True)
+@click.option("--p", type=float, default=DistanceConfig.p, show_default=True)
 @_mapped_errors
 def cmd_distance(file_a, file_b, p):
     """Print the penalized Kendall tau distance between two ranking files."""

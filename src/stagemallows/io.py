@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import FormatError
 from .inference import FitResult, McmcTrace
-from .rankings import MISSING, ItemSet, PartialRanking, StageDomain, stage_matrix
+from .mallows import MallowsParams
+from .rankings import MISSING, CentralRanking, ItemSet, PartialRanking, StageDomain, stage_matrix
 
 _SIDEKICK_SUFFIX = ".meta.json"
 
@@ -122,6 +123,17 @@ def _read_text(path: Path, what: str) -> str:
         raise _not_utf8(path, what) from None
 
 
+def _json_object(path: Path, what: str) -> dict:
+    """The JSON object in a UTF-8 file; any other content is a FormatError."""
+    try:
+        payload = json.loads(_read_text(path, what))
+    except ValueError as err:  # JSONDecodeError, or an integer past int()'s digit limit
+        raise FormatError(f"{what} is not valid JSON: {err}") from err
+    if not isinstance(payload, dict):
+        raise FormatError(f"{what} must hold a JSON object")
+    return payload
+
+
 def sidecar_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(_SIDEKICK_SUFFIX)
 
@@ -139,12 +151,7 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
     if not meta_path.exists():
         raise FormatError(f"dataset sidecar not found: {meta_path}")
 
-    try:
-        meta = json.loads(_read_text(meta_path, "sidecar"))
-    except json.JSONDecodeError as err:
-        raise FormatError(f"sidecar is not valid JSON: {err}") from err
-    if not isinstance(meta, dict):
-        raise FormatError("sidecar must hold a JSON object")
+    meta = _json_object(meta_path, "sidecar")
     for key in ("items", "l", "stage_label_offset"):
         if key not in meta:
             raise FormatError(f"sidecar is missing the {key!r} key")
@@ -379,11 +386,8 @@ def read_ranking_file(path: str | Path) -> tuple[list, int]:
     path = Path(path)
     if not path.exists():
         raise FormatError(f"ranking file not found: {path}")
-    try:
-        payload = json.loads(_read_text(path, "ranking file"))
-    except json.JSONDecodeError as err:
-        raise FormatError(f"ranking file is not valid JSON: {err}") from err
-    if not isinstance(payload, dict) or not isinstance(payload.get("stages"), list):
+    payload = _json_object(path, "ranking file")
+    if not isinstance(payload.get("stages"), list):
         raise FormatError('ranking file must be an object with a "stages" array')
     try:
         offset = _whole(payload.get("stage_label_offset", 1))
@@ -401,6 +405,44 @@ def read_ranking_file(path: str | Path) -> tuple[list, int]:
     if not stages:
         raise FormatError("ranking file has no stages")
     return stages, offset
+
+
+def checked_center(stages: Sequence, n: int, domain: StageDomain, source: str) -> CentralRanking:
+    """The stages as a center of n items in the domain. Another item count, an
+    unranked item, a stage that is not an integer (a boolean included) or
+    one outside 1..l is a FormatError naming the source."""
+    if len(stages) != n:
+        raise FormatError(f"{source} has {len(stages)} items, expected n={n}")
+    try:
+        center = CentralRanking(tuple(stages))
+        center.check_domain(domain)
+    except ValueError as err:
+        raise FormatError(f"{source}: {err}") from None
+    return center
+
+
+def read_truth(data_path: str | Path, n: int, domain: StageDomain) -> MallowsParams | None:
+    """The model in the truth.json beside the data, if there is one.
+
+    A file that lacks center_internal or lambda, or whose center has another
+    item count, gives no truth to compare with. Any other fault is a
+    FormatError: a center that checked_center refuses, or a lambda that is
+    not a positive finite JSON number.
+    """
+    path = Path(data_path).parent / "truth.json"
+    if not path.exists():
+        return None
+    truth = _json_object(path, "truth.json")
+    stages, spread = truth.get("center_internal"), truth.get("lambda")
+    if not isinstance(stages, list) or len(stages) != n or "lambda" not in truth:
+        return None
+    center = checked_center(stages, n, domain, "truth.json center_internal")
+    if isinstance(spread, (int, float)) and not isinstance(spread, bool):
+        try:
+            return MallowsParams(center, float(spread), domain)
+        except (ValueError, OverflowError):  # not positive and finite, or past float's range
+            pass
+    raise FormatError(f"truth.json lambda {json.dumps(spread)} is not a positive finite number")
 
 
 def write_ranking_file(
@@ -503,8 +545,11 @@ def write_heatmap_svg(
                   f'width="{width}" height="{height}" '
                   f'font-family="sans-serif" font-size="12">\n')
         if manifest is not None:
+            # An XML comment may not hold "--". "-\u002d" is the same JSON text,
+            # and no "--" is left, even where "---" stood.
             blob = json.dumps(dict(manifest), sort_keys=True, separators=(",", ":"))
-            out.write(f"<!-- manifest: {blob.replace('--', '- -')} -->\n")
+            blob = blob.replace("--", "-\\u002d")
+            out.write(f"<!-- manifest: {blob} -->\n")
         out.writelines(
             f'<text x="{_SVG_LEFT + s * _SVG_CELL + _SVG_CELL // 2}" y="{_SVG_TOP - 10}" '
             f'text-anchor="middle">{ds.external_label(s + 1)}</text>\n'

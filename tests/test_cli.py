@@ -1,6 +1,7 @@
 import json
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from click.testing import CliRunner
@@ -266,6 +267,17 @@ class TestFit:
                 tmp_path / "f2" / name
             ).read_bytes()
 
+    def test_heatmap_comment_holds_the_manifest_as_xml_and_json(self, runner, tmp_path):
+        # An XML comment may not hold "--", and the data path holds "---".
+        simulate(runner, tmp_path / "x---y", seed=2)
+        run_ok(runner, self.fit_args(tmp_path / "x---y" / "dataset.csv", tmp_path / "fit"))
+        parser = ElementTree.XMLParser(target=ElementTree.TreeBuilder(insert_comments=True))
+        svg = ElementTree.parse(tmp_path / "fit" / "heatmap.svg", parser).getroot()
+        [comment] = [node.text for node in svg if node.tag is ElementTree.Comment]
+        manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text(encoding="utf-8"))
+        assert "x---y" in manifest["inputs"]["data"]
+        assert json.loads(comment.removeprefix(" manifest: ")) == manifest
+
     def test_bundled_dataset_labels_respect_offset(self, runner, tmp_path):
         run_ok(
             runner,
@@ -316,9 +328,17 @@ class TestFit:
             '{"center_internal": [1, 2, 2, 3, 3], "lambda": ',
             '{"center_internal": [1, 2.9, 2, 3, 3], "lambda": 1.0}',
             '{"center_internal": [1, 2, 2, 3, 7], "lambda": 1.0}',
+            '{"center_internal": [1, 2, 2, 3, 3], "lambda": NaN}',
+            '{"center_internal": [1, 2, 2, 3, 3], "lambda": Infinity}',
+            '{"center_internal": [1, 2, 2, 3, 3], "lambda": -1}',
+            '{"center_internal": [1, 2, 2, 3, 3], "lambda": 0}',
+            '{"center_internal": [1, 2, 2, 3, 3], "lambda": true}',
+            '{"center_internal": [1, 2, 2, 3, 3], "lambda": "1.0"}',
         ],
         ids=["non-numeric-lambda", "non-numeric-center", "invalid-json",
-             "non-integral-center", "center-outside-stages"],
+             "non-integral-center", "center-outside-stages", "nan-lambda",
+             "infinite-lambda", "negative-lambda", "zero-lambda", "boolean-lambda",
+             "string-lambda"],
     )
     def test_bad_truth_exits_two_before_the_chain(self, runner, tmp_path, monkeypatch, text):
         simulate(runner, tmp_path / "sim", seed=2)
@@ -446,6 +466,11 @@ _INVALID_FILES = {
     "stages-111.json": '{"stages": [1, 1, 1]}',
     "l-true.csv": "respondent_id,item,stage\nR1,a,1\nR1,b,1\nR1,c,1\n",
     "l-true.meta.json": '{"items": ["a", "b", "c"], "l": true, "stage_label_offset": 1}',
+    # A directory where a file is read, its sidecar beside it, and a file
+    # where an output directory is made.
+    "folder.csv": None,
+    "folder.meta.json": '{"items": ["a", "b", "c"], "l": 2, "stage_label_offset": 1}',
+    "taken": "",
 }
 
 
@@ -477,6 +502,16 @@ _INVALID_FILES = {
         ["distance", "file:stage-true.json", "file:stages-121.json"],
         ["distance", "file:offset-true.json", "file:stages-121.json"],
         ["fit", "--data", "file:l-true.csv", "--prior-center", "file:stages-111.json"],
+        _SIMULATE + ["--center", "file:folder.csv"],
+        _SIMULATE + ["--center", ""],
+        _FIT + ["--prior-center", "file:folder.csv"],
+        ["fit", "--data", "file:folder.csv", "--prior-center", "file:stages-121.json"],
+        ["distance", "file:folder.csv", "file:stages-121.json"],
+        ["distance", "file:stages-121.json", "file:folder.csv"],
+        _SIMULATE + ["--center-random", "--out", "file:taken"],
+        ["eval", "--repeats", "1", "--n", "3", "--l", "2", "--lambda", "1", "--center",
+         "1,1,2", "--M", "5", "--iterations", "4", "--burn-in", "2", "--out", "file:taken"],
+        _FIT + ["--out-dir", "file:taken"],
     ],
     ids=[
         "min-response-rate-above-one",
@@ -499,14 +534,27 @@ _INVALID_FILES = {
         "boolean-stage",
         "boolean-offset",
         "boolean-sidecar-l",
+        "directory-center",
+        "empty-center",
+        "directory-prior-center",
+        "directory-data",
+        "directory-first-ranking",
+        "directory-second-ranking",
+        "file-as-simulate-out",
+        "file-as-eval-out",
+        "file-as-fit-out-dir",
     ],
 )
 def test_invalid_input_exits_two_without_traceback(runner, tmp_path, args):
-    # "file:NAME" stands for a file of _INVALID_FILES, written to tmp_path.
+    # "file:NAME" stands for a file of _INVALID_FILES, written to tmp_path,
+    # or a directory where its text is None.
     for name, text in _INVALID_FILES.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        if text is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text(text, encoding="utf-8")
     args = [str(tmp_path / arg[5:]) if arg.startswith("file:") else arg for arg in args]
-    if args[0] != "distance":
+    if args[0] != "distance" and not {"--out", "--out-dir"} & set(args):
         args += ["--out-dir" if args[0] == "fit" else "--out", str(tmp_path / "out")]
     result = runner.invoke(cli, args)
     assert result.exit_code == 2, result.output
@@ -571,6 +619,15 @@ _FIT_INPUTS = {
               '{"stages": [1, 2, 1], "stage_label_offset": 1e400}',
               '{"stages": [1.7, 2, 1]}', '{"stages": [1.0, 2, 1]}',
               '{"stages": [1, 2, 1], "stage_label_offset": 1.5}'],
+    # The truth.json beside data.csv; None writes none.
+    "truth": [json.dumps({"center_internal": center, "lambda": spread}) for center, spread in [
+        ([1, 2, 1], 1.0), ([2, 2, 2], 1e-300), ([1, 2, 1], 1e300), ([1, 2], 1.0),
+        ([1, 9, 1], 1.0), ([1, None, 1], 1.0), ([True, 2, 1], 1.0), ([1.5, 2, 1], 1.0),
+        ("121", 1.0), ([1, 2, 1], float("nan")), ([1, 2, 1], float("inf")),
+        ([1, 2, 1], -float("inf")), ([1, 2, 1], -1), ([1, 2, 1], 0), ([1, 2, 1], True),
+        ([1, 2, 1], "1"), ([1, 2, 1], None), ([1, 2, 1], 10**400),
+    ]] + [None, "{", "[]", '{"center_internal": [1, 2, 1]}', '{"lambda": 1e400}',
+          '{"center_internal": [1, 2, 1], "lambda": 1e400}', '{"lambda": 1, "\udcff": 0}'],
     "--lambda-init": ["1", "1e-300", "1e300"] + _BOUNDARIES,
     "--p": ["0.5", "1"] + _BOUNDARIES,
     "--prior-spread": ["1", "1e-300"] + _BOUNDARIES,
@@ -589,9 +646,16 @@ def test_fit_inputs_never_crash(changes):
                                       errors="surrogateescape")
         (tmp / "data.meta.json").write_text(inputs.pop("sidecar"), encoding="utf-8")
         (tmp / "prior.json").write_text(inputs.pop("prior"), encoding="utf-8")
+        truth = inputs.pop("truth")
+        if truth is not None:
+            (tmp / "truth.json").write_text(truth, encoding="utf-8", errors="surrogateescape")
         result = CliRunner().invoke(cli, [
             "fit", "--data", str(tmp / "data.csv"), "--prior-center", str(tmp / "prior.json"),
             "--iterations", "4", "--burn-in", "2", "--out-dir", str(tmp / "out"),
             *(arg for pair in inputs.items() for arg in pair),
         ])
-    assert_clean_exit(result)
+        assert_clean_exit(result)
+        if result.exit_code == 0:
+            # Strict JSON: no NaN or Infinity.
+            json.loads((tmp / "out" / "report.json").read_text(encoding="utf-8"),
+                       parse_constant=lambda c: pytest.fail(f"report.json holds {c}"))
