@@ -1,4 +1,4 @@
-"""Regenerate the bundled synthetic demonstration dataset.
+"""Draw a synthetic demonstration dataset like the bundled one.
 
 Builds a 30-respondent, 8-item survey shaped like a real well-being
 questionnaire: items carry a clinically plausible prior ordering, stage
@@ -10,17 +10,16 @@ contains no real survey responses.
 The bundled CSV was drawn by the earlier sampler, which enumerated the
 space and inverted its CDF. The current sampler draws from the same
 distribution through a different random stream, so rerunning this script
-gives a different file. The bundled one is kept as it is, because
-benchmarks and tests read it.
+gives a different file. The bundled one, under src/stagemallows/data, is
+kept as it is, because benchmarks and tests read it: the script writes the
+CSV, its sidecar and the prior into the current directory instead.
 
-Run from the repository root:
+Run from the directory to write into, with the package importable:
 
-    python3 scripts/generate_demo_data.py
+    PYTHONPATH=REPO/src python3 REPO/scripts/generate_demo_data.py
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -91,19 +90,16 @@ def build() -> QuestionnaireDataset:
 
 
 def main() -> None:
-    out_dir = Path(__file__).resolve().parent.parent / "src" / "stagemallows" / "data"
     ds = build()
-    write_dataset(ds, out_dir / "wellbeing_survey_synthetic.csv")
+    write_dataset(ds, "wellbeing_survey_synthetic.csv")
     write_ranking_file(
-        PRIOR_ORDER,
-        out_dir / "wellbeing_survey_prior.json",
-        stage_label_offset=STAGE_LABEL_OFFSET,
+        PRIOR_ORDER, "wellbeing_survey_prior.json", stage_label_offset=STAGE_LABEL_OFFSET
     )
     rates = [
         sum(1 for _, resp in ds.responses if resp.stages[i] is not MISSING) / M
         for i in range(len(ITEMS))
     ]
-    print(f"wrote {out_dir / 'wellbeing_survey_synthetic.csv'}")
+    print("wrote wellbeing_survey_synthetic.csv, its sidecar and wellbeing_survey_prior.json")
     for label, rate, target in zip(ITEMS, rates, TARGET_RATES):
         print(f"  {rate * 100:5.1f}% (target {target:5.1f}%)  {label}")
 

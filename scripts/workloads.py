@@ -30,16 +30,16 @@ def environment(tree: Path) -> dict:
 def prepare(workload: str, seed: int, tree: Path, work: Path) -> tuple[str, str]:
     """The workload's dataset and prior-center files under work, as relative paths.
 
-    The survey's bundled files are copied in. Otherwise the workload's
-    ``simulate`` runs from tree's source at workload seed ``seed`` into
-    work/data, and the prior is centered on the truth, as perfbench/run.py
-    writes it, in work/truth_center.json.
+    The survey's bundled files are copied in from tree. Otherwise the
+    workload's ``simulate`` runs from tree's source at workload seed ``seed``
+    into work/data, and the prior is centered on the truth, as
+    perfbench/run.py writes it, in work/truth_center.json.
     """
     wl = WORKLOADS[workload]
     if wl.simulate is None:
         for name in ("wellbeing_survey_synthetic.csv", "wellbeing_survey_synthetic.meta.json",
                      "wellbeing_survey_prior.json"):
-            shutil.copy(ROOT / SURVEY / name, work / name)
+            shutil.copy(tree / SURVEY / name, work / name)
         return "wellbeing_survey_synthetic.csv", "wellbeing_survey_prior.json"
     subprocess.run([sys.executable, "-c", "from stagemallows.cli import main; main()",
                     "simulate", *wl.simulate, "--seed", str(seed), "--out", "data"],

@@ -11,6 +11,7 @@ cannot start from a finite log-posterior.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -113,6 +114,16 @@ def _sub_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
+def _output_dir(ctx, param, path: Path) -> Path:
+    """Refuse, before any draw or chain, an output directory that mkdir could
+    not make or that could not be written in. The commands make it only after
+    their work, so that a run that exits 3 or 4 leaves nothing behind."""
+    nearest = next((p for p in (path, *path.parents) if os.path.lexists(p)), path)
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise click.BadParameter(f"{nearest} is not a writable directory", ctx, param)
+    return path
+
+
 def _option_group(*options):
     """One decorator applying the given click options in the listed order."""
 
@@ -206,7 +217,7 @@ def cli():
               help="Tie penalty for the distance.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), required=True,
-              help="Output directory.")
+              callback=_output_dir, help="Output directory.")
 @_mapped_errors
 def cmd_simulate(n, l, spread, center, center_random, size, missing_pct,
                  censor_location_factor, censor_scale, p, seed, out):
@@ -299,7 +310,8 @@ def _evaluation_block(truth: MallowsParams, result, cfg: DistanceConfig) -> dict
               help="Drop items ranked by fewer than this fraction of respondents.")
 @click.option("--p", type=float, default=DistanceConfig.p, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out-dir", type=click.Path(path_type=Path), required=True)
+@click.option("--out-dir", type=click.Path(path_type=Path), required=True,
+              callback=_output_dir)
 @_mapped_errors
 def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
             proposal_scale, prior_spread, init_center,
@@ -387,7 +399,8 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
               help="Center the prior on the generating truth or a uniform draw.")
 @click.option("--p", type=float, default=DistanceConfig.p, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), required=True)
+@click.option("--out", type=click.Path(path_type=Path), required=True,
+              callback=_output_dir)
 @_mapped_errors
 def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
              censor_location_factor, censor_scale, iterations, burn_in, thinning,

@@ -216,8 +216,12 @@ def _stage_step(m: int, b: int, k: int) -> _Step:
     radix = (m + b + 1) ** np.arange(k, dtype=np.int64)
     dest = (reached @ radix).searchsorted((comps @ radix)[:, np.newaxis] + states @ radix)
     placed = np.repeat(np.tile(np.arange(k, dtype=np.int8), len(comps)), comps.ravel())
-    step = _Step(mult, np.ascontiguousarray(dest.T), states @ below.T,
-                 states @ comps.T + split, placed.reshape(len(comps), b), len(reached))
+    # Both pair counts in one float64 product, which BLAS runs; it is exact,
+    # each count being at most C(m + b, 2), far below 2^53.
+    counts = np.matmul(states, np.vstack([below, comps]).T, dtype=np.float64).astype(np.int64)
+    counts[:, len(comps):] += split
+    step = _Step(mult, np.ascontiguousarray(dest.T), counts[:, :len(comps)],
+                 counts[:, len(comps):], placed.reshape(len(comps), b), len(reached))
     for array in (step.dest, step.discordant, step.tied, step.stages):
         array.setflags(write=False)
     return step

@@ -1,6 +1,6 @@
 """Smoke tests of the benchmark harness in perfbench/, of the layer harness
-scripts/time_layers.py, and of scripts/output_digests.py and
-scripts/time_fits.py, run as a user runs them.
+scripts/time_layers.py, and of the two-tree check scripts/time_fits.py, run
+as a user runs them.
 
 The traced run wraps PartitionCache.log_psi and PartitionCache.histogram by
 name and checks that the layers' self times add up to the traced wall
@@ -14,8 +14,8 @@ rows cold. It times the chain's private evaluator (inference._Evaluator),
 which reads the rows from the process's PartitionCache, empties its stats
 cache and group-code index (_Evaluator._center_stats, _Evaluator._code_rows),
 and times its private move functions (inference._state_at,
-inference._center_move, inference._spread_move); it breaks the same way. All
-three scripts make the workloads' data through scripts/workloads.py, which
+inference._center_move, inference._spread_move); it breaks the same way.
+Both scripts make the workloads' data through scripts/workloads.py, which
 imports perfbench/run.py's WORKLOADS, and time_fits.py runs fits through
 perfbench/child.py.
 """
@@ -89,21 +89,6 @@ def test_chain_harness_times_every_layer(layer_figures):
                 int(settings["--n"]), int(settings["--l"]), int(settings["--M"]))
 
 
-def test_output_digests_list_every_file_of_the_workload():
-    result = subprocess.run(
-        [sys.executable, "scripts/output_digests.py", "--workload", "large"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    digests = json.loads(result.stdout)
-    fits = [f"fit{seed}/{name}" for seed in (1000, 1001, 1002, 1003)
-            for name in ("heatmap.svg", "manifest.json", "report.json", "trace.ndjson")]
-    data = [f"data/{name}" for name in ("dataset.csv", "dataset.meta.json", "manifest.json",
-                                        "truth.json")]
-    assert sorted(digests) == sorted([*data, "truth_center.json", *fits])
-    assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest in digests.values())
-
-
 def test_side_by_side_fits_of_one_tree_agree():
     result = subprocess.run(
         [sys.executable, "scripts/time_fits.py", "--base", ".", "--head", ".",
@@ -113,6 +98,12 @@ def test_side_by_side_fits_of_one_tree_agree():
     assert result.returncode == 0, result.stderr
     figures = json.loads(result.stdout)
     assert figures["pairs"] == 1 and figures["outputs_agree"] == [True]
+    assert figures["data_agree"] is True and figures["differ"] == []
+    data = [f"data/{name}" for name in ("dataset.csv", "dataset.meta.json", "manifest.json",
+                                        "truth.json")]
+    fits = [f"fit{1000 + k}/{name}" for k in range(WORKLOADS["large"].chains)
+            for name in ("heatmap.svg", "manifest.json", "report.json", "trace.ndjson")]
+    assert figures["compared"] == [*data, "truth_center.json", *fits]
     assert all(len(ms) == 1 and ms[0] > 0 for ms in figures["chain_ms"].values()), figures
     assert figures["ratio"]["q1"] <= figures["ratio"]["median"] <= figures["ratio"]["q3"]
     assert figures["head_won"] in (0, 1)

@@ -512,6 +512,7 @@ _INVALID_FILES = {
         ["eval", "--repeats", "1", "--n", "3", "--l", "2", "--lambda", "1", "--center",
          "1,1,2", "--M", "5", "--iterations", "4", "--burn-in", "2", "--out", "file:taken"],
         _FIT + ["--out-dir", "file:taken"],
+        _FIT + ["--out-dir", "file:taken/out"],
     ],
     ids=[
         "min-response-rate-above-one",
@@ -543,9 +544,10 @@ _INVALID_FILES = {
         "file-as-simulate-out",
         "file-as-eval-out",
         "file-as-fit-out-dir",
+        "file-as-fit-out-dir-parent",
     ],
 )
-def test_invalid_input_exits_two_without_traceback(runner, tmp_path, args):
+def test_invalid_input_exits_two_without_traceback(runner, tmp_path, monkeypatch, args):
     # "file:NAME" stands for a file of _INVALID_FILES, written to tmp_path,
     # or a directory where its text is None.
     for name, text in _INVALID_FILES.items():
@@ -553,6 +555,13 @@ def test_invalid_input_exits_two_without_traceback(runner, tmp_path, args):
             (tmp_path / name).mkdir()
         else:
             (tmp_path / name).write_text(text, encoding="utf-8")
+    if any(arg.startswith("file:taken") for arg in args):
+        # An output path that cannot be made is refused before any draw or chain.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        monkeypatch.setattr("stagemallows.cli.generate", unreachable)
+        monkeypatch.setattr("stagemallows.cli.mcmc_fit", unreachable)
     args = [str(tmp_path / arg[5:]) if arg.startswith("file:") else arg for arg in args]
     if args[0] != "distance" and not {"--out", "--out-dir"} & set(args):
         args += ["--out-dir" if args[0] == "fit" else "--out", str(tmp_path / "out")]

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -396,6 +399,21 @@ class TestBundledDataset:
         rates = item_response_rates(ds)
         assert rates[0] == pytest.approx(23 / 30, abs=1e-9)
         assert rates[-1] == pytest.approx(11 / 30, abs=1e-9)
+
+    def test_demo_script_writes_into_the_current_directory(self, tmp_path):
+        bundled = demo_dataset_path().parent
+        before = {path.name: path.read_bytes() for path in bundled.iterdir()}
+        root = Path(__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, str(root / "scripts" / "generate_demo_data.py")],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))},
+        )
+        assert result.returncode == 0, result.stderr
+        assert {path.name: path.read_bytes() for path in bundled.iterdir()} == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(before)
+        assert read_dataset(tmp_path / "wellbeing_survey_synthetic.csv").m == 30
 
 
 class TestFilterItems:

@@ -236,6 +236,18 @@ class TestStageStep:
             assert np.array_equal(step.discordant, (across > 0).sum(axis=(2, 3))), (m, b, k)
             assert np.array_equal(step.tied, (across == 0).sum(axis=(2, 3)) + split), (m, b, k)
 
+    def test_pair_counts_equal_their_integer_products(self):
+        # The counts come from one float64 product; they must equal the
+        # int64 products exactly, as int64.
+        for m, b, k in [(m, b, k) for k in range(1, 6) for m in range(12)
+                        for b in range(1, 13 - m)]:
+            step = mallows._stage_step(m, b, k)
+            states = mallows._placed_states(m, k)
+            comps, below, _, split = mallows._compositions(b, k)
+            assert step.discordant.dtype == step.tied.dtype == np.int64
+            assert np.array_equal(step.discordant, states @ below.T), (m, b, k)
+            assert np.array_equal(step.tied, states @ comps.T + split), (m, b, k)
+
 
 def bucket_center(sizes):
     """The center with buckets of the given sizes at stages 1, 2, ..."""
