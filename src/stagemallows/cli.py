@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -52,22 +52,6 @@ from .synth import SynthConfig, generate
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INIT = 4
-
-
-@dataclass
-class RunManifest:
-    """Fully resolved settings of one command invocation.
-
-    Echoed into every JSON artifact so any output can be reproduced
-    byte-for-byte by re-running the command with these settings.
-    """
-
-    subcommand: str
-    seed: int
-    config: dict
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    version: str = __version__
 
 
 def _mapped_errors(fn):
@@ -135,15 +119,30 @@ def _option_group(*options):
     return decorate
 
 
+def _manifest(subcommand: str, settings: dict, outputs: dict, inputs: dict | None = None,
+              **resolved) -> dict:
+    """The fully resolved settings of one command invocation.
+
+    Echoed into every JSON artifact so any output can be reproduced
+    byte-for-byte by re-running the command with these settings. The config
+    is every option but --seed and the paths, with the resolved values (the
+    centers a run draws or reads, and the seeds it derives) in place.
+    """
+    config = {key: value for key, value in settings.items()
+              if key not in ("seed", "data", "out", "out_dir")}
+    return {"subcommand": subcommand, "seed": settings["seed"], "config": config | resolved,
+            "inputs": inputs or {}, "outputs": outputs, "version": __version__}
+
+
 _synth_options = _option_group(
     click.option("--n", type=int, required=True, help="Number of items."),
-    click.option("--l", "l", type=int, required=True, help="Number of stages."),
-    click.option("--lambda", "spread", type=float, required=True, help="True spread."),
+    click.option("--l", type=int, required=True, help="Number of stages."),
+    click.option("--lambda", "lambda", type=float, required=True, help="True spread."),
     click.option("--center", type=str, default=None,
                  help="True center: comma list of stages or a ranking file."),
     click.option("--center-random", is_flag=True,
                  help="Draw the true center uniformly from the space."),
-    click.option("--M", "size", type=int, required=True, help="Number of respondents."),
+    click.option("--M", "M", type=int, required=True, help="Number of respondents."),
     click.option("--missing-pct", type=float, default=SynthConfig.missing_percent,
                  show_default=True, help="Percent of respondents to right-censor."),
     click.option("--censor-location-factor", type=float,
@@ -153,23 +152,23 @@ _synth_options = _option_group(
 )
 
 
-def _synth_config(rng, n, l, spread, center, center_random, size, missing_pct,
-                  censor_location_factor, censor_scale) -> SynthConfig:
+def _synth_config(rng: np.random.Generator, settings: dict) -> SynthConfig:
     """Settings of --n ... --censor-scale; a random true center comes from rng."""
-    if (center is None) == (not center_random):
+    n, l, center = settings["n"], settings["l"], settings["center"]
+    if (center is None) == (not settings["center_random"]):
         raise click.UsageError("provide exactly one of --center / --center-random")
     # Refuse a space past capacity before building an n-item center.
     check_capacity(n, l)
     domain = StageDomain(l)
     truth_center = (
-        _uniform_center(rng, n, l) if center_random else _parse_center(center, n, domain)
+        _uniform_center(rng, n, l) if center is None else _parse_center(center, n, domain)
     )
     return SynthConfig(
-        truth=MallowsParams(truth_center, spread, domain),
-        size=size,
-        missing_percent=missing_pct,
-        censor_location_factor=censor_location_factor,
-        censor_scale=censor_scale,
+        truth=MallowsParams(truth_center, settings["lambda"], domain),
+        size=settings["M"],
+        missing_percent=settings["missing_pct"],
+        censor_location_factor=settings["censor_location_factor"],
+        censor_scale=settings["censor_scale"],
     )
 
 
@@ -186,20 +185,24 @@ _chain_options = _option_group(
 )
 
 
-def _chain_config(iterations, burn_in, thinning, proposal_scale, prior_spread,
-                  prior_center, lambda_init, seed, start
+def _chain_config(settings: dict, prior_center: CentralRanking, lambda_init: float,
+                  seed: int, start_center: CentralRanking | None
                   ) -> tuple[McmcConfig, PriorConfig]:
     """The chain and prior settings of --iterations ... --prior-spread."""
     mcmc = McmcConfig(
-        iterations=iterations,
-        burn_in=burn_in,
-        thinning=thinning,
+        iterations=settings["iterations"],
+        burn_in=settings["burn_in"],
+        thinning=settings["thinning"],
         lambda_init=lambda_init,
-        lambda_proposal_scale=proposal_scale,
+        lambda_proposal_scale=settings["proposal_scale"],
         seed=seed,
-        start_center=start,
+        start_center=start_center,
     )
-    return mcmc, PriorConfig(center=prior_center, pi_spread=prior_spread)
+    return mcmc, PriorConfig(center=prior_center, pi_spread=settings["prior_spread"])
+
+
+_p_option = click.option("--p", type=float, default=DistanceConfig.p, show_default=True)
+_seed_option = click.option("--seed", type=int, default=0, show_default=True)
 
 
 @click.group()
@@ -215,46 +218,31 @@ def cli():
 @_synth_options
 @click.option("--p", type=float, default=DistanceConfig.p, show_default=True,
               help="Tie penalty for the distance.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--out", type=click.Path(path_type=Path), required=True,
               callback=_output_dir, help="Output directory.")
 @_mapped_errors
-def cmd_simulate(n, l, spread, center, center_random, size, missing_pct,
-                 censor_location_factor, censor_scale, p, seed, out):
+def cmd_simulate(**settings):
     """Draw a synthetic censored dataset from a known model."""
-    cfg = DistanceConfig(p=p)
+    cfg = DistanceConfig(p=settings["p"])
+    seed, n, size, out = settings["seed"], settings["n"], settings["M"], settings["out"]
     rng = np.random.default_rng(seed)
-    synth_cfg = _synth_config(rng, n, l, spread, center, center_random, size,
-                              missing_pct, censor_location_factor, censor_scale)
+    synth_cfg = _synth_config(rng, settings)
     synth_seed = _sub_seed(rng)
     data, truth = generate(replace(synth_cfg, seed=synth_seed), cfg)
     width = len(str(size))
     responses = [(f"S{k + 1:0{width}d}", r) for k, r in enumerate(data)]
     censored_ids = [rid for rid, r in responses if not r.is_complete]
-
-    manifest = RunManifest(
-        subcommand="simulate",
-        seed=seed,
-        config={
-            "n": n, "l": l, "lambda": spread,
-            "center": list(truth.center.stages),
-            "center_random": center_random,
-            "M": size, "missing_pct": missing_pct,
-            "censor_location_factor": censor_location_factor,
-            "censor_scale": censor_scale,
-            "p": p, "synth_seed": synth_seed,
-        },
-        outputs={
-            "dataset": "dataset.csv",
-            "sidecar": "dataset.meta.json",
-            "truth": "truth.json",
-        },
+    manifest = _manifest(
+        "simulate", settings,
+        {"dataset": "dataset.csv", "sidecar": "dataset.meta.json", "truth": "truth.json"},
+        center=list(truth.center.stages), synth_seed=synth_seed,
     )
 
     out.mkdir(parents=True, exist_ok=True)
     items = ItemSet(tuple(f"item{k + 1:02d}" for k in range(n)))
     write_raw_dataset(
-        items, l, 1, responses, out / "dataset.csv",
+        items, settings["l"], 1, responses, out / "dataset.csv",
         provenance=f"synthetic dataset simulated with seed {seed}",
     )
     write_json(
@@ -262,13 +250,13 @@ def cmd_simulate(n, l, spread, center, center_random, size, missing_pct,
             "center_internal": list(truth.center.stages),
             "lambda": truth.spread,
             "n": n,
-            "l": l,
+            "l": settings["l"],
             "censored_respondents": censored_ids,
-            "manifest": asdict(manifest),
+            "manifest": manifest,
         },
         out / "truth.json",
     )
-    write_json(asdict(manifest), out / "manifest.json")
+    write_json(manifest, out / "manifest.json")
     click.echo(
         f"wrote {size} respondents ({len(censored_ids)} censored) to {out / 'dataset.csv'}"
     )
@@ -308,69 +296,50 @@ def _evaluation_block(truth: MallowsParams, result, cfg: DistanceConfig) -> dict
               help="Start the chain at the prior center or a uniform draw.")
 @click.option("--min-response-rate", type=float, default=0.0, show_default=True,
               help="Drop items ranked by fewer than this fraction of respondents.")
-@click.option("--p", type=float, default=DistanceConfig.p, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_p_option
+@_seed_option
 @click.option("--out-dir", type=click.Path(path_type=Path), required=True,
               callback=_output_dir)
 @_mapped_errors
-def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
-            proposal_scale, prior_spread, init_center,
-            min_response_rate, p, seed, out_dir):
+def cmd_fit(**settings):
     """Fit the model to a dataset and write report, trace, and heatmap."""
-    if not 0.0 <= min_response_rate <= 1.0:
-        raise click.UsageError(
-            f"--min-response-rate must lie in [0, 1], got {min_response_rate}")
-    cfg = DistanceConfig(p=p)
+    rate, data, out_dir = settings["min_response_rate"], settings["data"], settings["out_dir"]
+    if not 0.0 <= rate <= 1.0:
+        raise click.UsageError(f"--min-response-rate must lie in [0, 1], got {rate}")
+    cfg = DistanceConfig(p=settings["p"])
     ds = read_dataset(data)
-    if min_response_rate > 0.0:
-        ds = filter_items(ds, min_response_rate)
+    if rate > 0.0:
+        ds = filter_items(ds, rate)
 
     truth = read_truth(data, ds.items.n, ds.stage_domain)
-    rng = np.random.default_rng(seed)
-    prior_center_ranking = _resolve_prior_center(prior_center, ds, rng)
+    rng = np.random.default_rng(settings["seed"])
+    prior_center = _resolve_prior_center(settings["prior_center"], ds, rng)
     start = (
         _uniform_center(rng, ds.items.n, ds.stage_domain.l)
-        if init_center == "random"
+        if settings["init_center"] == "random"
         else None
     )
     chain_seed = _sub_seed(rng)
-    mcmc, prior = _chain_config(iterations, burn_in, thinning, proposal_scale,
-                                prior_spread, prior_center_ranking,
-                                lambda_init, chain_seed, start)
+    mcmc, prior = _chain_config(settings, prior_center, settings["lambda_init"],
+                                chain_seed, start)
     result = mcmc_fit(ds.rankings(), ds.stage_domain, prior, mcmc, cfg)
-
-    manifest = RunManifest(
-        subcommand="fit",
-        seed=seed,
-        config={
-            "iterations": iterations, "burn_in": burn_in, "thinning": thinning,
-            "lambda_init": lambda_init, "proposal_scale": proposal_scale,
-            "prior_spread": prior_spread, "init_center": init_center, "p": p,
-            "min_response_rate": min_response_rate,
-            "prior_center": list(prior_center_ranking.stages),
-            "start_center": list(start.stages) if start is not None else None,
-            "chain_seed": chain_seed,
-        },
+    manifest = _manifest(
+        "fit", settings,
+        {"report": "report.json", "trace": "trace.ndjson", "heatmap": "heatmap.svg"},
         inputs={"data": str(data)},
-        outputs={
-            "report": "report.json",
-            "trace": "trace.ndjson",
-            "heatmap": "heatmap.svg",
-        },
+        prior_center=list(prior_center.stages),
+        start_center=None if start is None else list(start.stages),
+        chain_seed=chain_seed,
     )
-
     evaluation = None if truth is None else _evaluation_block(truth, result, cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_fit_report(
-        result, ds, out_dir / "report.json",
-        manifest=asdict(manifest), evaluation=evaluation,
+        result, ds, out_dir / "report.json", manifest=manifest, evaluation=evaluation,
     )
     write_trace(result.trace, out_dir / "trace.ndjson")
-    write_heatmap_svg(
-        result.marginals, ds, out_dir / "heatmap.svg", manifest=asdict(manifest)
-    )
-    write_json(asdict(manifest), out_dir / "manifest.json")
+    write_heatmap_svg(result.marginals, ds, out_dir / "heatmap.svg", manifest=manifest)
+    write_json(manifest, out_dir / "manifest.json")
 
     labels = [ds.external_label(v) for v in result.pi_map.stages]
     click.echo(f"MAP center (stage labels): {labels}")
@@ -397,63 +366,45 @@ def cmd_fit(data, prior_center, iterations, burn_in, thinning, lambda_init,
 @click.option("--prior-center", type=click.Choice(["truth", "uniform-random"]),
               default="truth", show_default=True,
               help="Center the prior on the generating truth or a uniform draw.")
-@click.option("--p", type=float, default=DistanceConfig.p, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_p_option
+@_seed_option
 @click.option("--out", type=click.Path(path_type=Path), required=True,
               callback=_output_dir)
 @_mapped_errors
-def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
-             censor_location_factor, censor_scale, iterations, burn_in, thinning,
-             proposal_scale, prior_spread, prior_center, p, seed, out):
+def cmd_eval(**settings):
     """Repeat simulate-then-fit and tabulate recovery error.
 
     Each repeat draws a fresh dataset, starts the chain from a uniformly
     random center with a spread drawn from [0.5, 2], and records the MAP
     estimate's absolute spread error and distance to the true center.
     """
+    repeats, n, l, out = settings["repeats"], settings["n"], settings["l"], settings["out"]
     if repeats < 1:
         raise click.UsageError("--repeats must be >= 1")
-    cfg = DistanceConfig(p=p)
-    rng = np.random.default_rng(seed)
-    synth_cfg = _synth_config(rng, n, l, spread, center, center_random, size,
-                              missing_pct, censor_location_factor, censor_scale)
-    truth_center = synth_cfg.truth.center
+    cfg = DistanceConfig(p=settings["p"])
+    rng = np.random.default_rng(settings["seed"])
+    synth_cfg = _synth_config(rng, settings)
+    truth = synth_cfg.truth
 
     rows = []
-    for k in range(repeats):
+    for _ in range(repeats):
         synth_seed = _sub_seed(rng)
         chain_seed = _sub_seed(rng)
         lambda_init = float(rng.uniform(0.5, 2.0))
         start = _uniform_center(rng, n, l)
 
         data, _ = generate(replace(synth_cfg, seed=synth_seed), cfg)
-        prior_ranking = (
-            truth_center if prior_center == "truth" else _uniform_center(rng, n, l)
+        prior_center = (
+            truth.center if settings["prior_center"] == "truth" else _uniform_center(rng, n, l)
         )
-        mcmc, prior = _chain_config(iterations, burn_in, thinning, proposal_scale,
-                                    prior_spread, prior_ranking,
-                                    lambda_init, chain_seed, start)
-        result = mcmc_fit(data, synth_cfg.truth.domain, prior, mcmc, cfg)
-        rows.append((chain_seed, _evaluation_block(synth_cfg.truth, result, cfg)))
+        mcmc, prior = _chain_config(settings, prior_center, lambda_init, chain_seed, start)
+        result = mcmc_fit(data, truth.domain, prior, mcmc, cfg)
+        rows.append((chain_seed, _evaluation_block(truth, result, cfg)))
 
     mean_mae = sum(e["lambda_abs_error"] for _, e in rows) / repeats
     mean_dp = sum(e["dp_to_truth"] for _, e in rows) / repeats
-
-    manifest = RunManifest(
-        subcommand="eval",
-        seed=seed,
-        config={
-            "repeats": repeats, "n": n, "l": l, "lambda": spread,
-            "center": list(truth_center.stages), "center_random": center_random,
-            "M": size, "missing_pct": missing_pct,
-            "censor_location_factor": censor_location_factor,
-            "censor_scale": censor_scale,
-            "iterations": iterations, "burn_in": burn_in, "thinning": thinning,
-            "proposal_scale": proposal_scale, "prior_spread": prior_spread,
-            "prior_center": prior_center, "p": p,
-        },
-        outputs={"table": "eval.csv"},
-    )
+    manifest = _manifest("eval", settings, {"table": "eval.csv"},
+                         center=list(truth.center.stages))
 
     out.mkdir(parents=True, exist_ok=True)
     lines = ["repeat,seed,lambda_mae,dp_to_truth"]
@@ -461,7 +412,7 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
         lines.append(f"{k},{chain_seed},{e['lambda_abs_error']!r},{e['dp_to_truth']!r}")
     lines.append(f"mean,,{mean_mae!r},{mean_dp!r}")
     (out / "eval.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_json(asdict(manifest), out / "manifest.json")
+    write_json(manifest, out / "manifest.json")
 
     click.echo(f"{repeats} repeats: mean |lambda error| = {mean_mae:.4g}, "
                f"mean d_p to truth = {mean_dp:.4g}")
@@ -473,7 +424,7 @@ def cmd_eval(repeats, n, l, spread, center, center_random, size, missing_pct,
 @cli.command("distance")
 @click.argument("file_a", type=click.Path(path_type=Path))
 @click.argument("file_b", type=click.Path(path_type=Path))
-@click.option("--p", type=float, default=DistanceConfig.p, show_default=True)
+@_p_option
 @_mapped_errors
 def cmd_distance(file_a, file_b, p):
     """Print the penalized Kendall tau distance between two ranking files."""

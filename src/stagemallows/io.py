@@ -156,7 +156,9 @@ def read_dataset(path: str | Path) -> QuestionnaireDataset:
         if key not in meta:
             raise FormatError(f"sidecar is missing the {key!r} key")
     try:
-        items = ItemSet(tuple(str(v) for v in meta["items"]))
+        if not isinstance(meta["items"], list):
+            raise ValueError("items is not a JSON array")
+        items = ItemSet(tuple(meta["items"]))
         domain = StageDomain(_whole(meta["l"]))
         offset = _whole(meta["stage_label_offset"])
     except (TypeError, ValueError, OverflowError) as err:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 import numbers
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -31,10 +32,15 @@ import numpy as np
 #: Sentinel for an unranked item in a :class:`PartialRanking`.
 MISSING = None
 
+# A character outside XML 1.0's Char production: the heatmap writes every
+# item label into an SVG document.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
 
 @dataclass(frozen=True)
 class ItemSet:
-    """The ordered universe of items being ranked."""
+    """The ordered universe of items being ranked: distinct string labels,
+    each made only of characters that XML 1.0 allows."""
 
     labels: tuple[str, ...]
 
@@ -42,6 +48,11 @@ class ItemSet:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) == 0:
             raise ValueError("an ItemSet needs at least one item")
+        for label in self.labels:
+            if not isinstance(label, str):
+                raise ValueError(f"item label {label!r} is not a string")
+            if _NOT_XML_CHAR.search(label):
+                raise ValueError(f"item label {label!r} holds a character XML cannot carry")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("item labels must be unique")
 

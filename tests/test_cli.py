@@ -3,6 +3,7 @@ import tempfile
 from pathlib import Path
 from xml.etree import ElementTree
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -403,6 +404,27 @@ class TestEval:
         ).read_bytes()
 
 
+# manifest.json's config holds every option of its command but --seed and
+# the paths, and the values that the run derives.
+_DERIVED = {"simulate": {"synth_seed"}, "fit": {"start_center", "chain_seed"}, "eval": set()}
+
+
+@pytest.mark.parametrize("command", sorted(_DERIVED))
+def test_manifest_config_holds_every_option(runner, tmp_path, command):
+    simulate(runner, tmp_path / "simulate")
+    if command == "fit":
+        run_ok(runner, TestFit().fit_args(tmp_path / "simulate" / "dataset.csv", tmp_path / "fit",
+                                          ["--iterations", "20", "--burn-in", "10"]))
+    if command == "eval":
+        run_ok(runner, ["eval", "--repeats", "1", "--n", "3", "--l", "2", "--lambda", "1",
+                        "--center", "1,1,2", "--M", "5", "--iterations", "20",
+                        "--burn-in", "10", "--out", str(tmp_path / "eval")])
+    manifest = json.loads((tmp_path / command / "manifest.json").read_text(encoding="utf-8"))
+    options = {param.name for param in cli.commands[command].params
+               if param.name != "seed" and not isinstance(param.type, click.Path)}
+    assert set(manifest["config"]) == options | _DERIVED[command]
+
+
 class TestDistance:
     def test_identical_files(self, runner, tmp_path):
         path = tmp_path / "r.json"
@@ -617,6 +639,8 @@ _FIT_INPUTS = {
         ("l", 0), ("l", -2), ("l", [2]), ("l", None), ("l", 10**30),
         ("stage_label_offset", "x"), ("stage_label_offset", [1]),
         ("stage_label_offset", 10**30), ("l", 2.0), ("l", 2.5), ("stage_label_offset", 1.5),
+        ("items", "abc"), ("items", {"a": 1, "b": 2, "c": 3}), ("items", ["a", "b", None]),
+        ("items", ["a", "b", "c\u0001"]),
     ]] + ["{", "[]", "3", "null", '{"items": ["a", "b", "c"]}',
           '{"items": ["a", "b", "c"], "l": 1e400, "stage_label_offset": 1}'],
     "prior": ['{"stages": [1, 2, 1]}', "{", "[1, 2, 1]", '{"stages": 3}',

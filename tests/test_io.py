@@ -236,6 +236,18 @@ _REFUSALS = {
     "missing-key": ("r1,alpha,1\n", {"items": ["alpha", "beta"], "l": 3},
                     "sidecar is missing the 'stage_label_offset' key"),
     "sidecar-not-object": ("r1,alpha,1\n", ["alpha"], "sidecar must hold a JSON object"),
+    "items-string": ("r1,a,1\nr1,b,1\n", {**GOOD_META, "items": "ab"},
+                     "sidecar has malformed items, l or stage_label_offset: "
+                     "items is not a JSON array"),
+    "items-object": ("r1,alpha,1\nr1,beta,1\n", {**GOOD_META, "items": {"alpha": 1, "beta": 2}},
+                     "sidecar has malformed items, l or stage_label_offset: "
+                     "items is not a JSON array"),
+    "null-item": ("r1,alpha,1\n", {**GOOD_META, "items": ["alpha", None]},
+                  "sidecar has malformed items, l or stage_label_offset: "
+                  "item label None is not a string"),
+    "control-character-item": ("r1,alpha,1\n", {**GOOD_META, "items": ["alpha", "b\u0001"]},
+                               "sidecar has malformed items, l or stage_label_offset: "
+                               "item label 'b\\x01' holds a character XML cannot carry"),
 }
 
 

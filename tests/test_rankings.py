@@ -36,6 +36,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             ItemSet(("a", "b", "a"))
 
+    @pytest.mark.parametrize("label", [None, 1, "a\u0001", "a\x00", "\ud800", "\ufffe"])
+    def test_item_set_rejects_a_label_xml_cannot_carry(self, label):
+        with pytest.raises(ValueError):
+            ItemSet(("b", label))
+
+    def test_item_set_keeps_xml_whitespace_and_astral_labels(self):
+        assert ItemSet(("a\rb", "\t\n", "\U0001f600", "\ue000\ufffd")).n == 4
+
     def test_item_set_counts(self):
         items = ItemSet(("a", "b", "c"))
         assert items.n == 3
