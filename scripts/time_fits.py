@@ -19,7 +19,10 @@ goes first.
 
 Prints one JSON object: each side's chain milliseconds per pair (summed over
 the pair's chains), the median head/base ratio of the pairs with its
-quartiles, and how many pairs the head won (ran faster). It also says
+quartiles, and how many pairs the head won (ran faster); likewise each
+side's peak RSS per pair (the largest of the pair's fits, as child.py
+records it), its median head/base ratio with quartiles, and how many pairs
+the head peaked lower. It also says
 whether the two trees wrote the same bytes: in every data file
 (``data_agree``), and per pair in every file of every fit's output
 directory, ``report.json``, ``trace.ndjson``, ``heatmap.svg`` (the stage
@@ -41,8 +44,9 @@ from pathlib import Path
 from workloads import ROOT, WORKLOADS, environment, prepare
 
 
-def fit(tree: Path, argv: list[str], work: Path) -> float:
-    """Run one fit from tree in a fresh process; its chain seconds."""
+def fit(tree: Path, argv: list[str], work: Path) -> tuple[float, float]:
+    """Run one fit from tree in a fresh process; its chain seconds and its
+    peak RSS in MB."""
     record = work / "record.json"
     record.unlink(missing_ok=True)
     spec = {"argv": argv, "trace": False, "distance_data": None, "record": str(record),
@@ -53,7 +57,7 @@ def fit(tree: Path, argv: list[str], work: Path) -> float:
     result = json.loads(record.read_text(encoding="utf-8")) if record.exists() else None
     if proc.returncode != 0 or result is None or result["exit"] != 0:
         sys.exit(f"fit from {tree} failed:\n{proc.stderr}")
-    return result["chain_s"]
+    return result["chain_s"], result["peak_rss_mb"]
 
 
 def written(root: Path) -> dict[str, bytes]:
@@ -69,11 +73,11 @@ def differ(base_dir: Path, head_dir: Path) -> tuple[list[str], set[str]]:
     return names, {name for name in names if base.get(name) != head.get(name)}
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
+def quartiles(ratios: list[float]) -> dict[str, float]:
+    """The median of the ratios with its quartiles, to 4 decimals."""
+    q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                      if len(ratios) > 1 else ratios * 3)
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
 def main() -> None:
@@ -93,6 +97,7 @@ def main() -> None:
             parser.error(f"no stagemallows source under {tree}")
     wl = WORKLOADS[args.workload]
     chain_ms = {side: [] for side in trees}
+    rss_mb = {side: [] for side in trees}
     agree = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -103,30 +108,37 @@ def main() -> None:
         moved = set(data_moved)
         for pair in range(args.pairs):
             order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
-            seconds = dict.fromkeys(trees, 0.0)
+            seconds, peak = dict.fromkeys(trees, 0.0), dict.fromkeys(trees, 0.0)
             for k in range(wl.chains):
                 seed = 1000 * args.workload_seed + k
                 for side in order:
-                    seconds[side] += fit(trees[side], [
+                    chain_s, rss = fit(trees[side], [
                         "fit", "--data", f"head/{data}", "--prior-center", f"head/{prior}",
                         *wl.fit, "--iterations", str(wl.iterations),
                         "--burn-in", str(wl.burn_in), "--seed", str(seed),
                         "--out-dir", f"fits-{side}/fit{seed}"], work)
+                    seconds[side] += chain_s
+                    peak[side] = max(peak[side], rss)
             for side in trees:
                 chain_ms[side].append(round(seconds[side] * 1e3, 3))
+                rss_mb[side].append(round(peak[side], 3))
             fit_files, fits_moved = differ(work / "fits-base", work / "fits-head")
             agree.append(not fits_moved)
             moved |= fits_moved
     ratios = [h / b for h, b in zip(chain_ms["head"], chain_ms["base"])]
-    q1, median, q3 = quartiles(ratios)
+    rss_ratios = [h / b for h, b in zip(rss_mb["head"], rss_mb["base"])]
     print(json.dumps({
         "workload": args.workload, "workload_seed": args.workload_seed, "pairs": args.pairs,
         "chains_per_pair": wl.chains,
         "base": str(trees["base"]), "head": str(trees["head"]),
         "chain_ms": chain_ms,
-        "median_chain_ms": {side: statistics.median(ms) for side, ms in chain_ms.items()},
-        "ratio": {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)},
+        "median_chain_ms": {side: round(statistics.median(ms), 3)
+                            for side, ms in chain_ms.items()},
+        "ratio": quartiles(ratios),
         "head_won": sum(r < 1.0 for r in ratios),
+        "peak_rss_mb": rss_mb,
+        "rss_ratio": quartiles(rss_ratios),
+        "head_rss_lower": sum(r < 1.0 for r in rss_ratios),
         "data_agree": not data_moved,
         "outputs_agree": agree,
         "compared": [*data_files, *fit_files],

@@ -45,8 +45,9 @@ p = 0.5, built over distance_grid(n, p) as a fit meets them. ``steps_s``
 builds every class's program (mallows._stage_steps) with every cache of
 the row builds cleared, so that a class reuses only the steps of classes
 before it; ``row_s`` then builds every class's row (PartitionCache.row),
-the programs kept. ``class_steps`` counts the classes' buckets and
-``distinct_steps`` the steps a pass built.
+the programs kept, its key terms counting the pairs each edge adds.
+``class_steps`` counts the classes' buckets and ``distinct_steps`` the
+steps a pass built.
 
 ``io``: on ``wide``, in milliseconds, each call a ``simulate`` or ``fit``
 makes once per dataset, with ``us_per_row`` per respondent (per retained

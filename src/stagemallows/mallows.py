@@ -29,7 +29,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -93,11 +93,16 @@ def check_capacity(n: int, l: int, draws: int = 0) -> int:
     The program's steps, their key shifts and last-bucket matrices, shared
     by every class and kept for the process (_stage_step, _step_keys,
     _step_weights), took under a fifth of the estimate in every space
-    measured (BENCH_17.json). Each of `draws` rankings, a chain's retained
-    samples included, adds 512 + 128 n bytes for its arrays, Python rankings
-    and dataset text, above the per-ranking peaks measured for `simulate`
-    and for a chain's trace (CHANGES.md). n < 1 or l < 1 is not a space
-    (ValueError).
+    measured (BENCH_17.json). The estimate leaves out the draw's tables:
+    each class whose center is drawn from keeps 16 bytes per edge of its
+    program (its shares and one index per edge), 16 more per distinct
+    (multiplicity, distance) pair its edges take and, when l > n, 8 per
+    final state, for as long as the process runs
+    (PartitionCache._draw_tables; BENCH_30.json). Each of
+    `draws` rankings, a chain's retained samples included, adds
+    512 + 128 n bytes for its arrays, Python rankings and dataset text,
+    above the per-ranking peaks measured for `simulate` and for a chain's
+    trace (CHANGES.md). n < 1 or l < 1 is not a space (ValueError).
     """
     if n < 1 or l < 1:
         raise ValueError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
@@ -173,17 +178,21 @@ def _compositions(b: int, l: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class _Step:
-    """Placing one bucket: from each state s by each composition c to dest[s, c],
-    adding discordant[s, c] and tied[s, c] pairs in mult[c] ways. Row c of
-    stages lists the 0-based stages composition c gives the bucket's items,
-    in order."""
+    """Placing one bucket: from each state s by each composition c to dest[c, s],
+    in mult[c] ways; the pairs this adds are counted by _pair_counts. Row c
+    of stages lists the 0-based stages composition c gives the bucket's
+    items, in order."""
 
     mult: np.ndarray
     dest: np.ndarray
-    discordant: np.ndarray
-    tied: np.ndarray
     stages: np.ndarray
     states: int
+
+    @cached_property
+    def stage_lists(self) -> list[list[int]]:
+        """stages as Python lists, for the one-draw walk; built on its first
+        read, so a step that only rows use never holds them."""
+        return self.stages.tolist()
 
 
 @lru_cache(maxsize=None)
@@ -204,27 +213,37 @@ def _stage_step(m: int, b: int, k: int) -> _Step:
 
     It does not depend on the class: every composition of m is a state
     after m items, whatever the buckets before, so classes share their
-    steps. Each composition v moves state u to u + v and adds
-    sum_t v_t * sum_{t' > t} u_t' discordant pairs (a later bucket placed
-    below an earlier one), sum_t v_t * u_t tied-one pairs across buckets,
-    and the bucket's own pairs that v splits apart.
+    steps. Each composition v moves state u to u + v. The destinations are
+    laid out by (composition, state), as the rows' scatter and the draw's
+    backward pass read them, so that neither keeps a copy of its own.
     """
     states, reached = _placed_states(m, k), _placed_states(m + b, k)
-    comps, below, mult, split = _compositions(b, k)
-    # The destinations are searched one composition at a time, the states'
-    # codes ascending, which searchsorted finds faster, and then transposed.
+    comps, _, mult, _ = _compositions(b, k)
+    # Searched one composition at a time, the states' codes ascending,
+    # which searchsorted finds faster.
     radix = (m + b + 1) ** np.arange(k, dtype=np.int64)
     dest = (reached @ radix).searchsorted((comps @ radix)[:, np.newaxis] + states @ radix)
     placed = np.repeat(np.tile(np.arange(k, dtype=np.int8), len(comps)), comps.ravel())
-    # Both pair counts in one float64 product, which BLAS runs; it is exact,
-    # each count being at most C(m + b, 2), far below 2^53.
-    counts = np.matmul(states, np.vstack([below, comps]).T, dtype=np.float64).astype(np.int64)
-    counts[:, len(comps):] += split
-    step = _Step(mult, np.ascontiguousarray(dest.T), counts[:, :len(comps)],
-                 counts[:, len(comps):], placed.reshape(len(comps), b), len(reached))
-    for array in (step.dest, step.discordant, step.tied, step.stages):
+    step = _Step(mult, dest, placed.reshape(len(comps), b), len(reached))
+    for array in (step.dest, step.stages):
         array.setflags(write=False)
     return step
+
+
+def _pair_counts(m: int, b: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(discordant, tied): the pairs that composition c of _stage_step(m, b, k)
+    adds from state s, at [c, s], as int64. Composition v adds
+    sum_t v_t * sum_{t' > t} u_t' discordant pairs to state u (a later
+    bucket placed below an earlier one), and sum_t v_t * u_t tied-one pairs
+    across buckets plus the bucket's own pairs that v splits apart. Only
+    _step_keys reads them, once per key, so nothing keeps them."""
+    comps, below, _, split = _compositions(b, k)
+    # Both counts in one float64 product, which BLAS runs; it is exact, each
+    # count being at most C(m + b, 2), far below 2^53.
+    counts = np.matmul(np.vstack([below, comps]), _placed_states(m, k).T,
+                       dtype=np.float64).astype(np.int64)
+    counts[len(comps):] += split[:, np.newaxis]
+    return counts[:len(comps)], counts[len(comps):]
 
 
 def _stage_steps(class_key: tuple[int, ...], k: int) -> tuple[tuple[_Step, ...], np.ndarray]:
@@ -244,12 +263,12 @@ def _stage_steps(class_key: tuple[int, ...], k: int) -> tuple[tuple[_Step, ...],
 @lru_cache(maxsize=None)
 def _step_keys(m: int, b: int, k: int, alpha: int, beta: int) -> tuple[np.ndarray, int]:
     """The key terms of _stage_step(m, b, k) for the key alpha d + beta e:
-    shift[s, c] = alpha discordant[s, c] + beta tied[s, c], the key that
-    composition c adds from state s, and its largest value. Kept per
-    (m, b, k, alpha, beta), like the steps, so that a row does not compute
-    them again for each bucket."""
-    step = _stage_step(m, b, k)
-    shift = alpha * step.discordant + beta * step.tied
+    shift[c, s] = alpha discordant[c, s] + beta tied[c, s] (_pair_counts),
+    the key that composition c adds from state s, and its largest value.
+    Kept per (m, b, k, alpha, beta), like the steps, so that a row does not
+    compute them again for each bucket."""
+    discordant, tied = _pair_counts(m, b, k)
+    shift = alpha * discordant + beta * tied
     shift.setflags(write=False)
     return shift, int(shift.max())
 
@@ -279,9 +298,10 @@ def _step_weights(m: int, b: int, k: int, alpha: int, beta: int) -> np.ndarray:
     for the steps that end a class."""
     mult = _stage_step(m, b, k).mult
     shift, top = _step_keys(m, b, k, alpha, beta)
-    states, span = len(shift), top + 1
-    weights = np.bincount((np.arange(0, states * span, span)[:, np.newaxis] + shift).ravel(),
-                          np.broadcast_to(mult, shift.shape).ravel(), states * span)
+    states, span = shift.shape[1], top + 1
+    weights = np.bincount((np.arange(0, states * span, span) + shift).ravel(),
+                          np.broadcast_to(mult[:, np.newaxis], shift.shape).ravel(),
+                          states * span)
     weights = weights.reshape(states, span)
     weights.setflags(write=False)
     return weights
@@ -295,7 +315,7 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
     counting the ways to reach state u with that key among the items
     placed: one row of keys per state, not a (d, e) plane. It starts from
     the first bucket's own table: from the empty state each composition c
-    lands on a state of its own, dest[0, c], at key shift[0, c], in mult[c]
+    lands on a state of its own, dest[c, 0], at key shift[c, 0], in mult[c]
     ways. The final table is summed over its states, so when l <= n the
     last bucket lands straight on the key axis.
 
@@ -325,7 +345,7 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
     first, placed = steps[0], class_key[0]
     shift, top = _step_keys(0, placed, k, alpha, beta)
     table = np.zeros((first.states, top + 1))
-    table[first.dest[0], shift[0]] = first.mult
+    table[first.dest[:, 0], shift[:, 0]] = first.mult
     for b, step in zip(class_key[1:], steps[1:]):
         m, placed = placed, placed + b
         shift, top = _step_keys(m, b, k, alpha, beta)
@@ -345,9 +365,8 @@ def _stage_count_table(class_key: tuple[int, ...], l: int, alpha: int, beta: int
             count = table.take(cells)
             block = max(1, allowance // (2 * len(count)))
             index, size = (shift, width) if last else (step.dest * width + shift, allowance)
-            parts = (np.bincount((index[:, c:c + block].take(state, axis=0)
-                                  + key[:, np.newaxis]).ravel(),
-                                 (count[:, np.newaxis] * step.mult[c:c + block]).ravel(), size)
+            parts = (np.bincount((index[c:c + block].take(state, axis=1) + key).ravel(),
+                                 (step.mult[c:c + block, np.newaxis] * count).ravel(), size)
                      for c in range(0, len(step.mult), block))
             table = next(parts)
             for part in parts:
@@ -385,15 +404,20 @@ def _pair_triangle(pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(span[:, np.newaxis] + span <= pairs)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending. By hand: a bare np.unique imports
+    numpy.ma, about 1 MB."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
+
+
 @lru_cache(maxsize=64)
 def distance_grid(n: int, p: float) -> np.ndarray:
     """The distinct distances d + p*e over d, e >= 0 with d + e <= C(n, 2),
     ascending from 0: every d_p between two rankings of at most n items.
     With p = 1/2 there are 2 C(n, 2) + 1 of them (57 at n = 8)."""
     d, e = _pair_triangle(n * (n - 1) // 2)
-    # Deduplicated by hand: a bare np.unique imports numpy.ma, about 1 MB.
-    grid = np.sort(d + p * e)
-    grid = grid[np.append(True, grid[1:] != grid[:-1])]
+    grid = _distinct(d + p * e)
     grid.setflags(write=False)
     return grid
 
@@ -498,12 +522,13 @@ class PartitionCache:
     the l^n points. Each space (n, l, p) keeps its rows in one RowTable
     (table), the only store of rows: row and log_psi read it, a fit gathers
     from it, and nothing is cached per spread. The exact sampler runs the
-    program backward and samples forward through it; its edges' grid
-    indices and multiplicities, and the shares of the last spread drawn
-    at with the running shares of the states one draw visited, are cached
-    per (l, p, class). Safe for concurrent use; racing writers recompute
-    identical values. The process keeps one instance (default_cache), like
-    the steps; a new instance builds its rows and tables afresh.
+    program backward and samples forward through it; one index per edge
+    into the distinct (multiplicity, distance) pairs of the class's edges,
+    and the shares of the last spread drawn at with the running shares of
+    the states one draw visited, are cached per (l, p, class). Safe for
+    concurrent use; racing writers recompute identical values. The process
+    keeps one instance (default_cache), like the steps; a new instance
+    builds its rows and tables afresh.
     """
 
     def __init__(self):
@@ -515,32 +540,37 @@ class PartitionCache:
         self, n: int, l: int, p: float, class_key: tuple[int, ...], spread: float
     ) -> tuple[tuple[_Step, ...], np.ndarray, list[list], list[np.ndarray], list[dict]]:
         """The class's program, its final states, each bucket's composition
-        stages as lists, and per bucket the shares that the draw picks
-        compositions by at this spread, with the walks built from them.
+        stages as lists (its step's), and per bucket the shares that the
+        draw picks compositions by at this spread, with the walks built from
+        them.
 
         Run backward from the final states, each weighted by C(l, j) / C(n, j)
         for its j occupied stages when l > n: ahead[s] sums, over the ways
         to finish from state s, their weights exp(-distance / spread) times
         their multiplicities. Composition c from state s takes the share
-        edge weight * ahead[dest[s, c]] of ahead[s]: one gather, one product
+        edge weight * ahead[dest[c, s]] of ahead[s]: one gather, one product
         and one sum per bucket, with no gather for the last bucket when
         l <= n (every final state weighs 1) and no sum for the first (its
-        one state's total is never read). The shares are laid out as
-        (composition, state), so that numpy sums each state's shares in
-        composition order, as the draw's running sums do. A state whose
-        total underflows to 0 is never entered, since the share leading
-        into it is 0.
+        one state's total is never read). The shares are laid out as the
+        steps' destinations, (composition, state), so that numpy sums each
+        state's shares in composition order, as the draw's running sums do.
+        A state whose total underflows to 0 is never entered, since the
+        share leading into it is 0.
 
-        Each edge keeps its multiplicity and the index of its distance in
-        the distance grid of n items, read off its step's key shift
-        (_step_keys, _key_lookup, as the rows key them), so a new spread
-        takes one exp per grid distance. The shares of the last spread are
-        kept per (l, p, class) with those terms, in one entry replaced whole
-        under the lock, so that a reader never pairs one spread with
-        another's shares: the chain draws again at the same spread and
-        class after each rejected move. The walks, one dict per bucket that one draw fills
-        with each state it visits (see draw), start empty with each spread's
-        shares in that entry, so they too never outlive their spread.
+        The class keeps one index per edge, into the distinct pairs of a
+        multiplicity and a distance of the distance grid of n items that its
+        edges take, read off its steps' key shifts (_step_keys, _key_lookup,
+        as the rows key them). A new spread takes one exp and one product
+        per pair, the exp of a grid value as grid_weights gives it, and one
+        gather of the edges' weights, in which the shares are then formed in
+        place; destinations and stages are read from the steps. The shares
+        of the last spread are kept per (l, p, class) with the index, in one
+        entry replaced whole under the lock, so that a reader never pairs
+        one spread with another's shares: the chain draws again at the same
+        spread and class after each rejected move. The walks, one dict per
+        bucket that one draw fills with each state it visits (see draw),
+        start empty with each spread's shares in that entry, so they too
+        never outlive their spread.
         """
         key = (l, p, class_key)
         with self._lock:
@@ -553,25 +583,32 @@ class PartitionCache:
             if l > n:
                 ratio = np.array([math.comb(l, j) / math.comb(n, j) for j in range(n + 1)])
                 finish = ratio[np.count_nonzero(final_states, axis=1)]
+            grid = distance_grid(n, p)
             alpha, beta, lookup = _key_lookup(n, n, p)
-            shifts = [_step_keys(m, b, k, alpha, beta)[0].T.ravel()
-                      for m, b in zip(itertools.accumulate(class_key, initial=0), class_key)]
-            mult = np.concatenate([np.repeat(step.mult.astype(np.float64), step.dest.shape[0])
-                                   for step in steps])
-            into = [np.ascontiguousarray(step.dest.T) for step in steps]
-            terms = (distance_grid(n, p), lookup[np.concatenate(shifts)], mult, finish, into,
-                     [step.stages.tolist() for step in steps])
+            mults = _distinct(np.concatenate([step.mult for step in steps]))
+            # Each edge's pair as one code: its multiplicity's rank, then its
+            # distance's grid index.
+            codes = np.concatenate([
+                ((mults.searchsorted(step.mult) * len(grid))[:, np.newaxis]
+                 + lookup[_step_keys(m, b, k, alpha, beta)[0]]).ravel()
+                for m, b, step in zip(itertools.accumulate(class_key, initial=0), class_key,
+                                      steps)])
+            pairs = _distinct(codes)
+            # The steps' own destinations and stage lists, not copies.
+            terms = (mults[pairs // len(grid)].astype(np.float64), grid[pairs % len(grid)],
+                     pairs.searchsorted(codes), finish, [step.dest for step in steps],
+                     [step.stage_lists for step in steps])
             entry = (steps, final_states, terms, None, None, None)
         steps, final_states, terms, last_spread, shares, walks = entry
-        grid, index, mult, finish, into, stage_lists = terms
+        pair_mult, pair_distance, index, finish, into, stage_lists = terms
         if last_spread != spread:
-            edge_w = mult * grid_weights(grid, spread)[index]
+            edge_w = (pair_mult * grid_weights(pair_distance, spread))[index]
             shares, ahead, end = [], finish, len(edge_w)
             for dest in reversed(into):
                 start = end - dest.size
                 share = edge_w[start:end].reshape(dest.shape)
                 if ahead is not None:
-                    share = share * ahead[dest]
+                    share *= ahead[dest]
                 shares.append(share)
                 if start:
                     ahead = share.sum(axis=0)
@@ -625,7 +662,7 @@ class PartitionCache:
                 visit = walk.get(state)
                 if visit is None:
                     visit = walk[state] = (list(itertools.accumulate(share[:, state].tolist())),
-                                           step.dest[state].tolist())
+                                           step.dest[:, state].tolist())
                 run, dest = visit
                 # 0 < target <= run[-1]: c stops at a composition with share.
                 c = bisect.bisect_left(run, (1.0 - u) * run[-1])
@@ -652,9 +689,9 @@ class PartitionCache:
             table = cum / (total + (total == 0)) + np.arange(-1, len(total) - 1)
             # u lies in [0, 1), so state - u falls in the state's own range
             # (up to rounding) and never on a composition without share.
-            edge = table.T.ravel().searchsorted(state - u)
-            placed.append(step.stages.take(edge % len(step.mult), axis=0))
-            state = step.dest.take(edge)
+            state, c = np.divmod(table.T.ravel().searchsorted(state - u), len(step.mult))
+            placed.append(step.stages.take(c, axis=0))
+            state = step.dest[c, state]
 
         # The stages in bucket order, given to each bucket's items at random.
         stages = np.concatenate(placed, axis=1)

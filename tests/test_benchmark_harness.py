@@ -107,3 +107,7 @@ def test_side_by_side_fits_of_one_tree_agree():
     assert all(len(ms) == 1 and ms[0] > 0 for ms in figures["chain_ms"].values()), figures
     assert figures["ratio"]["q1"] <= figures["ratio"]["median"] <= figures["ratio"]["q3"]
     assert figures["head_won"] in (0, 1)
+    assert all(len(mb) == 1 and mb[0] > 0 for mb in figures["peak_rss_mb"].values()), figures
+    rss = figures["rss_ratio"]
+    assert rss["q1"] <= rss["median"] <= rss["q3"] and rss["median"] > 0
+    assert figures["head_rss_lower"] in (0, 1)

@@ -220,10 +220,11 @@ class TestStageStep:
         for m, b, k in [(m, b, k) for k in range(1, 5) for m in range(10)
                         for b in range(1, 11 - m)]:
             step = mallows._stage_step(m, b, k)
+            discordant, tied = mallows._pair_counts(m, b, k)
             before, after = mallows._placed_states(m, k), mallows._placed_states(m + b, k)
             comps = mallows._compositions(b, k)[0]
             assert step.states == len(after)
-            assert np.array_equal(after[step.dest], before[:, np.newaxis] + comps)
+            assert np.array_equal(after[step.dest.T], before[:, np.newaxis] + comps)
             # The pairs the bucket adds, counted item by item: an earlier
             # bucket's item placed at a later stage than one of this bucket's
             # is discordant; one at the same stage is tied in one ranking, as
@@ -233,20 +234,32 @@ class TestStageStep:
             assert np.array_equal(step.stages, placed)
             across = earlier[:, np.newaxis, :, np.newaxis] - placed[np.newaxis, :, np.newaxis, :]
             split = (placed[:, :, np.newaxis] != placed[:, np.newaxis, :]).sum(axis=(1, 2)) // 2
-            assert np.array_equal(step.discordant, (across > 0).sum(axis=(2, 3))), (m, b, k)
-            assert np.array_equal(step.tied, (across == 0).sum(axis=(2, 3)) + split), (m, b, k)
+            assert np.array_equal(discordant.T, (across > 0).sum(axis=(2, 3))), (m, b, k)
+            assert np.array_equal(tied.T, (across == 0).sum(axis=(2, 3)) + split), (m, b, k)
 
     def test_pair_counts_equal_their_integer_products(self):
         # The counts come from one float64 product; they must equal the
         # int64 products exactly, as int64.
         for m, b, k in [(m, b, k) for k in range(1, 6) for m in range(12)
                         for b in range(1, 13 - m)]:
-            step = mallows._stage_step(m, b, k)
+            discordant, tied = mallows._pair_counts(m, b, k)
             states = mallows._placed_states(m, k)
             comps, below, _, split = mallows._compositions(b, k)
-            assert step.discordant.dtype == step.tied.dtype == np.int64
-            assert np.array_equal(step.discordant, states @ below.T), (m, b, k)
-            assert np.array_equal(step.tied, states @ comps.T + split), (m, b, k)
+            assert discordant.dtype == tied.dtype == np.int64
+            assert np.array_equal(discordant.T, states @ below.T), (m, b, k)
+            assert np.array_equal(tied.T, states @ comps.T + split), (m, b, k)
+
+    def test_a_step_holds_no_pair_counts(self):
+        # The counts are computed where a key is made of them (_step_keys)
+        # and not kept: a step's arrays are its multiplicities, destinations
+        # and stages, also after its keys and draw stage lists are read.
+        step = mallows._stage_step(3, 4, 4)
+        mallows._step_keys(3, 4, 4, 2, 1)
+        step.stage_lists
+        arrays = [value for value in vars(step).values() if isinstance(value, np.ndarray)]
+        assert sum(array.nbytes for array in arrays) == (
+            step.mult.nbytes + step.dest.nbytes + step.stages.nbytes)
+        assert set(vars(step)) == {"mult", "dest", "stages", "states", "stage_lists"}
 
 
 def bucket_center(sizes):
@@ -703,6 +716,70 @@ class TestSample:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+def owned_draw_bytes(entry, grid):
+    """The bytes of the arrays a class's draw entry holds that no step, final
+    state list or distance grid shares: what the class itself keeps."""
+    steps, final_states, *rest = entry
+    shared = [grid, final_states, *(a for step in steps for a in (step.mult, step.dest,
+                                                                    step.stages))]
+    arrays, todo = [], list(rest)
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+    roots = {}
+    for array in arrays:
+        while array.base is not None:
+            array = array.base
+        if not any(np.shares_memory(array, other) for other in shared):
+            roots[id(array)] = array
+    return sum(root.nbytes for root in roots.values())
+
+
+class TestDrawMemory:
+    def test_classes_placing_one_step_share_its_destinations(self):
+        # (2, 3, 3) and (2, 6) both place their first bucket by the step
+        # (0, 2, 4); the draw reads its destinations from that step.
+        cache = PartitionCache()
+        rng = np.random.default_rng(0)
+        for sizes in [(2, 3, 3), (2, 6)]:
+            cache.draw(bucket_center(sizes), 4, 0.5, 0.7, rng, 1)
+            cache.draw(bucket_center(sizes), 4, 0.5, 1.3, rng, 5)
+        entries = [cache._draw_terms[(4, 0.5, key)] for key in [(2, 3, 3), (2, 6)]]
+        assert np.shares_memory(entries[0][0][0].dest, entries[1][0][0].dest)
+        # Nor does either class keep a copy of any of its steps' destinations.
+        for steps, _, terms, *_ in entries:
+            kept = [a for term in terms for a in (term if isinstance(term, list) else [term])
+                    if isinstance(a, np.ndarray) and a.dtype.kind == "i"
+                    and not any(np.shares_memory(a, step.dest) for step in steps)]
+            assert not any(a.shape in (step.dest.shape, step.dest.shape[::-1])
+                           for a in kept for step in steps)
+
+    @pytest.mark.parametrize("p", [0.5, 0.731])
+    def test_a_class_keeps_its_shares_and_one_index_per_edge(self, p):
+        # Per edge, the class keeps its share and one 8-byte index into the
+        # distinct (multiplicity, distance) pairs its edges take, whose
+        # weights a new spread computes: 16 bytes per edge, plus 16 per pair
+        # (a multiplicity and a distance), and fewer pairs than edges.
+        # Drawn at two spreads, so that a second spread's shares replace the
+        # first's rather than add to them.
+        cache = PartitionCache()
+        rng = np.random.default_rng(1)
+        for class_key in classes_of(8, 4):
+            for spread in (0.7, 1.3):
+                cache.draw(bucket_center(class_key), 4, p, spread, rng, 1)
+            entry = cache._draw_terms[(4, p, class_key)]
+            edges = sum(step.dest.size for step in entry[0])
+            pairs = len(entry[2][0])
+            assert entry[3] == 1.3 and pairs <= edges, class_key
+            assert owned_draw_bytes(entry, distance_grid(8, p)) <= 16 * edges + 16 * pairs, (
+                class_key)
 
 
 def chi_square_pvalue(draws, pmf):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stagemallows import rankings
 from stagemallows.rankings import (
     MISSING,
     CentralRanking,
@@ -43,6 +44,18 @@ class TestTypes:
 
     def test_item_set_keeps_xml_whitespace_and_astral_labels(self):
         assert ItemSet(("a\rb", "\t\n", "\U0001f600", "\ue000\ufffd")).n == 4
+
+    def test_forbidden_characters_are_those_outside_xml_chars(self):
+        # XML 1.0's Char production: #x9 | #xA | #xD | [#x20-#xD7FF] |
+        # [#xE000-#xFFFD] | [#x10000-#x10FFFF]. Every code point is classified.
+        allowed = np.zeros(0x110000, dtype=bool)
+        for low, high in [(0x9, 0x9), (0xA, 0xA), (0xD, 0xD), (0x20, 0xD7FF),
+                          (0xE000, 0xFFFD), (0x10000, 0x10FFFF)]:
+            allowed[low:high + 1] = True
+        every = "".join(map(chr, range(0x110000)))
+        forbidden = np.zeros(0x110000, dtype=bool)
+        forbidden[[match.start() for match in rankings._NOT_XML_CHAR.finditer(every)]] = True
+        assert np.array_equal(forbidden, ~allowed)
 
     def test_item_set_counts(self):
         items = ItemSet(("a", "b", "c"))
